@@ -35,19 +35,6 @@ const (
 	NumAllocSchemes = 16
 )
 
-// planeAllocator decides where consecutively striped logical pages land
-// and how dense plane indices map back to coordinates. All registered
-// schemes share the ordered-stride allocator below; the interface is
-// the seam a future non-linear placement policy would implement.
-type planeAllocator interface {
-	// locate maps a stripe counter to (channel, chip, die, plane).
-	locate(counter uint64) (ch, chip, die, plane int)
-	// planeIndex flattens coordinates into a dense plane index.
-	planeIndex(ch, chip, die, plane int) planeID
-	// channelOf recovers the channel from a dense plane index.
-	channelOf(p planeID) int
-}
-
 // allocSchemeTable is the single source of truth for the plane
 // allocation domain: row order defines the wire value, and each row
 // carries the axis priority its ordered allocator stripes with
@@ -102,47 +89,43 @@ func ParseAllocScheme(s string) (AllocScheme, error) {
 // AllocSchemeNames returns the scheme mnemonics in value order.
 func AllocSchemeNames() []string { return allocSchemes.allNames() }
 
-// newPlaneAllocator instantiates the device's configured scheme; the
-// caller validates p first.
-func newPlaneAllocator(p *DeviceParams) planeAllocator { return newAllocator(p) }
-
 // planeID flattens a (channel, chip, die, plane) coordinate.
 type planeID int32
 
 // allocator converts a monotonically increasing write-stripe counter into
-// plane coordinates following the scheme's axis priority.
+// a plane following the scheme's axis priority. One period of the
+// counter (the device's plane count) visits every plane exactly once, in
+// the order the precomputed stripe table holds.
 type allocator struct {
-	order [4]int
-	dims  [4]int // channel, chip, die, plane counts
-	// strides in counter space per axis, derived from order.
-	strides [4]int
-	total   int
+	dims [4]int // channel, chip, die, plane counts
+	// stripe[c] is the plane that stripe counter c (mod len) lands on.
+	stripe []planeID
 }
 
+// newAllocator builds the stripe table for the device's configured
+// scheme; the caller validates p first. The table is filled with an
+// odometer over the coordinates: the scheme's fastest axis advances on
+// every step and carries into the next axis when it wraps.
 func newAllocator(p *DeviceParams) *allocator {
-	a := &allocator{
-		order: allocSchemeTable[p.PlaneAllocScheme].order,
-		dims:  [4]int{p.Channels, p.ChipsPerChannel, p.DiesPerChip, p.PlanesPerDie},
+	a := &allocator{dims: [4]int{p.Channels, p.ChipsPerChannel, p.DiesPerChip, p.PlanesPerDie}}
+	order := allocSchemeTable[p.PlaneAllocScheme].order
+	a.stripe = make([]planeID, p.TotalPlanes())
+	var coord [4]int
+	for c := range a.stripe {
+		a.stripe[c] = a.planeIndex(coord[0], coord[1], coord[2], coord[3])
+		for _, axis := range order {
+			if coord[axis]++; coord[axis] < a.dims[axis] {
+				break
+			}
+			coord[axis] = 0
+		}
 	}
-	stride := 1
-	for _, axis := range a.order {
-		a.strides[axis] = stride
-		stride *= a.dims[axis]
-	}
-	a.total = stride
 	return a
 }
 
-// locate maps a stripe counter to (channel, chip, die, plane).
-func (a *allocator) locate(counter uint64) (ch, chip, die, plane int) {
-	c := int(counter % uint64(a.total))
-	coord := [4]int{
-		(c / a.strides[0]) % a.dims[0],
-		(c / a.strides[1]) % a.dims[1],
-		(c / a.strides[2]) % a.dims[2],
-		(c / a.strides[3]) % a.dims[3],
-	}
-	return coord[0], coord[1], coord[2], coord[3]
+// planeAt maps a stripe counter to its plane.
+func (a *allocator) planeAt(counter uint64) planeID {
+	return a.stripe[counter%uint64(len(a.stripe))]
 }
 
 // planeIndex flattens coordinates into a dense plane index.

@@ -76,7 +76,7 @@ func (fp *flashPlane) isActive(b int32) bool {
 // policy registry, so the FTL mechanics stay policy-agnostic.
 type ftl struct {
 	p      *DeviceParams
-	alloc  planeAllocator
+	alloc  *allocator
 	gcPick gcVictimPolicy
 
 	// Scaled geometry.
@@ -121,14 +121,20 @@ type ftl struct {
 	mappingReads, mappingWrites int64
 }
 
-// newFTL builds the scaled FTL for params p.
-func newFTL(p *DeviceParams) (*ftl, error) {
+// newFTL builds the scaled FTL for params p and warms it up: the first
+// occupancy fraction of the logical pages is written in stripe order —
+// the paper's "warm up the SSD simulator ... occupy at least 50% of the
+// storage capacity". A fault-free device is written in closed form, a
+// block at a time (fillBlocks); a device with fault state takes the
+// per-page path (prefillPages), whose defects and RNG draws change where
+// pages land.
+func newFTL(p *DeviceParams, occupancy float64) (*ftl, error) {
 	planes := p.TotalPlanes()
 	bpp, ppb := scaleGeometry(p, planes)
 
 	f := &ftl{
 		p:              p,
-		alloc:          newPlaneAllocator(p),
+		alloc:          newAllocator(p),
 		gcPick:         newGCVictimPolicy(p),
 		blocksPerPlane: bpp,
 		pagesPerBlock:  ppb,
@@ -169,25 +175,112 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 			pl.freeList = append(pl.freeList, b)
 		}
 		// Lane 0 opens block 0 immediately (matching the historical single
-		// active block); further lanes activate lazily on first use so
-		// unused lanes never consume free blocks.
+		// active block; fillBlocks gives it its pages); further lanes
+		// activate lazily on first use so unused lanes never consume free
+		// blocks.
 		pl.actives = make([]int32, f.lanes)
 		for l := 1; l < f.lanes; l++ {
 			pl.actives[l] = -1
 		}
-		pl.blocks[0].pages = make([]int32, ppb)
-		fillStale(pl.blocks[0].pages)
 	}
 	f.mapping = make([]int64, f.logicalPages)
-	for i := range f.mapping {
-		f.mapping[i] = unmapped
+
+	n := int64(float64(f.logicalPages) * occupancy)
+	if !p.Faults.Enabled() && f.fillBlocks(n) {
+		return f, nil
 	}
+	f.fillBlocks(0)
 	if p.Faults.Enabled() {
 		if err := f.initFaults(p, planes); err != nil {
 			return nil, err
 		}
 	}
+	f.prefillPages(n)
+	if f.fatal != nil {
+		return nil, fmt.Errorf("%w (during prefill)", f.fatal)
+	}
 	return f, nil
+}
+
+// fillBlocks writes logical pages [0, n) of a fresh, fault-free FTL in
+// closed form, leaving exactly the state prefillPages(n) leaves; n = 0
+// builds the empty device. It reports false, changing nothing, when the
+// pages do not fit (the per-page path then raises ErrOutOfSpace).
+//
+// Why it is exact: prefill is the FTL's first write, so stripe runs
+// 0…n-1 and stripe position i of every period of len(planes) stripes
+// lands on plane alloc.stripe[i]. That plane's j-th page is logical page
+// i + j·planes, and it goes to block j/ppb, slot j%ppb, because blocks
+// open in order: block 0 is pre-opened and the free list pops 1, 2, ….
+// Opening is lazy, so a plane whose last block filled exactly keeps it
+// active. Every full block is fully valid, so every victim policy
+// refuses it and the GC that placePage triggers frees nothing.
+//
+// Logical pages are walked in chunks of planes·ppb, each exactly one
+// block (block c for chunk c) on every plane, so every write stays
+// inside one small window. A chunk writes its blocks' pages plane by
+// plane and then its mapping in logical order: both are sequential,
+// where one interleaved pass would stride one of them by a (usually
+// power-of-two) distance that thrashes the cache and doubles the cost.
+// The pages of every block that opens are cut from one slab; blocks
+// that never open get none.
+func (f *ftl) fillBlocks(n int64) bool {
+	planes, ppb := int64(len(f.planes)), int64(f.pagesPerBlock)
+	pagesAt := func(i int64) int64 { // pages landing on stripe position i
+		if n <= i {
+			return 0
+		}
+		return (n - i + planes - 1) / planes
+	}
+	blocksAt := func(i int64) int64 { return max(1, (pagesAt(i)+ppb-1)/ppb) }
+	chunks := blocksAt(0) // stripe position 0 gets the most pages
+	if chunks > int64(f.blocksPerPlane) {
+		return false
+	}
+	var slots int64
+	for i := int64(0); i < planes; i++ {
+		slots += blocksAt(i) * ppb
+	}
+	slab := make([]int32, slots)
+	for c := int64(0); c < chunks; c++ {
+		base := c * planes * ppb
+		for i, pl := range f.alloc.stripe {
+			fp := &f.planes[pl]
+			left := pagesAt(int64(i)) - c*ppb
+			if c > 0 {
+				if left <= 0 {
+					continue // block c never opens on this plane
+				}
+				fp.freeList = fp.freeList[:len(fp.freeList)-1]
+				fp.actives[0] = int32(c)
+				fp.allocSeq = c
+			}
+			blk := &fp.blocks[c]
+			blk.pages, slab = slab[:ppb:ppb], slab[ppb:]
+			w := min(max(left, 0), ppb)
+			for slot, lp := int64(0), base+int64(i); slot < w; slot, lp = slot+1, lp+planes {
+				blk.pages[slot] = int32(lp)
+			}
+			fillStale(blk.pages[w:])
+			blk.writePtr, blk.valid, blk.allocSeq = int32(w), int32(w), c
+		}
+		// The chunk's mapping, in logical order: lp = base + slot·planes + i.
+		lp := base
+		for slot := int32(0); slot < int32(ppb) && lp < n; slot++ {
+			for _, pl := range f.alloc.stripe {
+				if lp == n {
+					break
+				}
+				f.mapping[lp] = packPPA(pl, int32(c), slot)
+				lp++
+			}
+		}
+	}
+	for lp := n; lp < f.logicalPages; lp++ {
+		f.mapping[lp] = unmapped
+	}
+	f.stripe = uint64(n)
+	return true
 }
 
 // initFaults seeds the fault RNG and applies the initialization-time
@@ -312,11 +405,11 @@ func (f *ftl) pageSpan(lba uint64, sectors uint32) (firstLP, nPages int64) {
 	return first % f.logicalPages, nPages
 }
 
-// prefill marks frac of logical pages as written, without timing — the
-// paper's "warm up the SSD simulator ... occupy at least 50% of the
-// storage capacity".
-func (f *ftl) prefill(frac float64) {
-	n := int64(float64(f.logicalPages) * frac)
+// prefillPages is the per-page warm-up: logical pages [0, n) written in
+// order through placePage, without timing. Devices with fault state take
+// it, because bad blocks reorder the free lists, dead dies redirect
+// planes and every program draws the fault RNG.
+func (f *ftl) prefillPages(n int64) {
 	for lp := int64(0); lp < n; lp++ {
 		f.placePage(lp, 0)
 	}
@@ -337,9 +430,8 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	if f.fatal != nil {
 		return 0, 0, 0 // device wedged; engine surfaces f.fatal
 	}
-	ch, chip, die, plane := f.alloc.locate(f.stripe)
+	pl = f.redirectPlane(f.alloc.planeAt(f.stripe))
 	f.stripe++
-	pl = f.redirectPlane(f.alloc.planeIndex(ch, chip, die, plane))
 	fp := &f.planes[pl]
 
 	// Invalidate the previous location.
@@ -354,7 +446,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 
 	ab := fp.actives[lane]
 	if ab < 0 || fp.blocks[ab].full(f.pagesPerBlock) {
-		f.advanceActive(fp, lane)
+		f.advanceActive(fp, pl, lane)
 		if f.fatal != nil {
 			f.mapping[lp] = unmapped
 			return pl, 0, 0
@@ -372,7 +464,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 			blk.failCount++
 			f.faults.programFailures++
 			if blk.full(f.pagesPerBlock) {
-				f.advanceActive(fp, lane)
+				f.advanceActive(fp, pl, lane)
 				if f.fatal != nil {
 					f.mapping[lp] = unmapped
 					return pl, 0, 0
@@ -393,11 +485,12 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	return pl, gcMoves, gcErases
 }
 
-// advanceActive opens a fresh free block as the lane's active block.
-func (f *ftl) advanceActive(fp *flashPlane, lane int32) {
+// advanceActive opens a fresh free block as the lane's active block on
+// plane pl (fp is &f.planes[pl]).
+func (f *ftl) advanceActive(fp *flashPlane, pl planeID, lane int32) {
 	if len(fp.freeList) == 0 {
 		// Emergency GC: free at least one block synchronously.
-		f.collect(fp, f.planeIDOf(fp))
+		f.collect(fp, pl)
 		if len(fp.freeList) == 0 {
 			// Over-provisioning too small, or fault-driven retirement
 			// consumed it. Sticky typed error, not a panic: the engine
@@ -419,15 +512,6 @@ func (f *ftl) advanceActive(fp *flashPlane, lane int32) {
 	blk.lane = lane
 	fp.allocSeq++
 	blk.allocSeq = fp.allocSeq
-}
-
-func (f *ftl) planeIDOf(fp *flashPlane) planeID {
-	for i := range f.planes {
-		if &f.planes[i] == fp {
-			return planeID(i)
-		}
-	}
-	return 0
 }
 
 // collect reclaims blocks on the plane until the free list is healthy.
@@ -465,7 +549,7 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 					// Cannot make progress; leave remaining pages.
 					break
 				}
-				f.advanceActive(fp, lane)
+				f.advanceActive(fp, pl, lane)
 				dst = &fp.blocks[fp.actives[lane]]
 			}
 			s := dst.writePtr
@@ -582,8 +666,7 @@ func (f *ftl) lookup(lp int64) planeID {
 		pl, _, _ := unpackPPA(v)
 		return pl
 	}
-	ch, chip, die, plane := f.alloc.locate(uint64(lp))
-	return f.redirectPlane(f.alloc.planeIndex(ch, chip, die, plane))
+	return f.redirectPlane(f.alloc.planeAt(uint64(lp)))
 }
 
 // --- Cached mapping table (DFTL-style). ---

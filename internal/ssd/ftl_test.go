@@ -13,7 +13,7 @@ func newTestFTL(t *testing.T, mutate func(*DeviceParams)) *ftl {
 	if mutate != nil {
 		mutate(&p)
 	}
-	f, err := newFTL(&p)
+	f, err := newFTL(&p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

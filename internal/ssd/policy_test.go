@@ -212,11 +212,10 @@ func BenchmarkGCVictimPolicy(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			p := smallDevice()
 			p.GCPolicy = pol
-			f, err := newFTL(&p)
+			f, err := newFTL(&p, 0.9)
 			if err != nil {
 				b.Fatal(err)
 			}
-			f.prefill(0.9)
 			ws := f.logicalPages / 4
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

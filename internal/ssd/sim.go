@@ -93,6 +93,9 @@ const (
 	MetricRequestLatency = "ssd_request_latency_ns"
 	MetricGCPause        = "ssd_gc_pause_ns"
 	MetricChannelStall   = "ssd_channel_stall_ns"
+	// MetricSetup records each sim's device set-up (building and
+	// prefilling the FTL, CMT and cache) once per run.
+	MetricSetup = "ssd_setup_ns"
 
 	MetricFaultProgramFailures = "ssd_fault_program_failures_total"
 	MetricFaultEraseFailures   = "ssd_fault_erase_failures_total"
@@ -136,9 +139,16 @@ func (s *Simulator) RunSource(src trace.Source) (*Result, error) {
 // interrupted tuning run stops a simulation mid-flight instead of
 // waiting out the trace. Cancellation never produces a partial Result.
 func (s *Simulator) RunSourceContext(ctx context.Context, src trace.Source) (*Result, error) {
+	var start time.Time
+	if s.Obs != nil {
+		start = time.Now()
+	}
 	eng, err := newEngine(&s.p)
 	if err != nil {
 		return nil, err
+	}
+	if s.Obs != nil {
+		s.Obs.Histogram(MetricSetup).Record(time.Since(start).Nanoseconds())
 	}
 	n, err := eng.warmup(ctx, src)
 	if err != nil {
@@ -290,7 +300,7 @@ type engine struct {
 }
 
 func newEngine(p *DeviceParams) (*engine, error) {
-	f, err := newFTL(p)
+	f, err := newFTL(p, p.InitialOccupancyFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +340,6 @@ func newEngine(p *DeviceParams) (*engine, error) {
 		if e.hostCmdNS < 1_000 {
 			e.hostCmdNS = 1_000
 		}
-	}
-	f.prefill(p.InitialOccupancyFrac)
-	if f.fatal != nil {
-		return nil, fmt.Errorf("%w (during prefill)", f.fatal)
 	}
 	return e, nil
 }
