@@ -188,7 +188,6 @@ func registerHelp(reg *obs.Registry) {
 		"dist_stats_pushes_total":                   "worker metric snapshots absorbed by the coordinator",
 		"worker_jobs_total":                         "jobs executed by this worker process",
 		"worker_busy_ns":                            "cumulative in-simulation nanoseconds on this worker",
-		"dist_hedged_leases_total":                  "duplicate leases issued to hedge against stragglers",
 		"dist_workers_quarantined":                  "workers currently quarantined (health or byzantine)",
 		"dist_results_crosschecked_total":           "remote results re-simulated locally for cross-validation",
 		"dist_results_crosschecked_divergent_total": "cross-checked results that diverged from the local referee",

@@ -197,19 +197,6 @@ func NewValidatorSources(space *ssdconf.Space, groups map[string][]trace.SourceF
 	}
 }
 
-// SimRuns reports how many simulator invocations were not served from
-// cache (the paper's dominant overhead, Table 6).
-func (v *Validator) SimRuns() int { return int(v.simRuns.Load()) }
-
-// SimWall reports the cumulative time spent inside the SSD simulator,
-// summed over all workers (efficiency validation time, Table 6).
-//
-// Deprecated: the name suggests wall-clock time, but under parallel
-// validation the per-worker sum exceeds the real elapsed span. Use
-// Stats(), which reports both quantities unambiguously (SimBusy vs
-// WallSpan).
-func (v *Validator) SimWall() time.Duration { return time.Duration(v.simWall.Load()) }
-
 // ValidatorStats is a point-in-time snapshot of the validator's
 // always-on counters (kept regardless of whether Obs is set).
 type ValidatorStats struct {

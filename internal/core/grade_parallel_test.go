@@ -38,7 +38,7 @@ func TestCacheKeyPipeClusterNames(t *testing.T) {
 	if _, err := v.MeasureTrace(context.Background(), ref, "a#0", tr.Factory()); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.SimRuns(); got != 2 {
+	if got := v.Stats().SimRuns; got != 2 {
 		t.Fatalf("SimRuns = %d, want 2 distinct simulations", got)
 	}
 }
@@ -100,8 +100,8 @@ func TestMeasureBatchMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	want := len(cfgs) * len(ws)
-	if got := par.SimRuns(); got != want {
+	want := int64(len(cfgs) * len(ws))
+	if got := par.Stats().SimRuns; got != want {
 		t.Fatalf("parallel SimRuns = %d, want %d", got, want)
 	}
 }
@@ -153,7 +153,7 @@ func TestSingleflightStress(t *testing.T) {
 	}
 
 	distinct := len(cfgs) * len(clusters)
-	if got := v.SimRuns(); got != distinct {
+	if got := v.Stats().SimRuns; got != int64(distinct) {
 		t.Fatalf("SimRuns = %d, want %d (duplicate simulation slipped past singleflight)", got, distinct)
 	}
 

@@ -81,11 +81,11 @@ func TestSpeedups(t *testing.T) {
 
 func TestValidatorCaching(t *testing.T) {
 	_, v, _, ref := testEnv(t, []workload.Category{workload.Database}, 2500)
-	runs := v.SimRuns()
+	runs := v.Stats().SimRuns
 	if _, err := v.MeasureCluster(context.Background(), ref, string(workload.Database)); err != nil {
 		t.Fatal(err)
 	}
-	if v.SimRuns() != runs {
+	if v.Stats().SimRuns != runs {
 		t.Fatal("reference measurement should be cached by NewGrader")
 	}
 	if _, err := v.MeasureCluster(context.Background(), ref, "nope"); err == nil {

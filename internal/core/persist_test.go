@@ -40,7 +40,7 @@ func TestPersistentCacheWarmRestart(t *testing.T) {
 	if _, err := v.MeasureTrace(ctx, ref, "Database#1", tr.Factory()); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.SimRuns(); got != 2 {
+	if got := v.Stats().SimRuns; got != 2 {
 		t.Fatalf("cold run SimRuns = %d, want 2", got)
 	}
 	st := p.Stats()
@@ -60,7 +60,7 @@ func TestPersistentCacheWarmRestart(t *testing.T) {
 	if _, err := v2nd.MeasureTrace(ctx, ref2, "Database#1", tr2.Factory()); err != nil {
 		t.Fatal(err)
 	}
-	if got := v2nd.SimRuns(); got != 0 {
+	if got := v2nd.Stats().SimRuns; got != 0 {
 		t.Fatalf("warm run SimRuns = %d, want 0 (all persisted)", got)
 	}
 	stats := v2nd.Stats()
@@ -121,7 +121,7 @@ func TestPersistentCacheCorruptRecord(t *testing.T) {
 	if _, err := v2.MeasureTrace(ctx, ref, "Database#0", tr.Factory()); err != nil {
 		t.Fatal(err)
 	}
-	if got := v2.SimRuns(); got != 1 {
+	if got := v2.Stats().SimRuns; got != 1 {
 		t.Fatalf("SimRuns after corruption = %d, want 1 re-simulation", got)
 	}
 	if !p.store.Has(key) {

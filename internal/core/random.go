@@ -25,7 +25,7 @@ func RandomSearch(ctx context.Context, space *ssdconf.Space, v *Validator, g *Gr
 		return nil, errors.New("core: no initial configurations")
 	}
 	start := time.Now()
-	simStart := v.SimRuns()
+	simStart := freshMeasurements(v)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x9e3779b9))
 
 	// Reuse the tuner's evaluation path (grading, power budget,
@@ -85,7 +85,7 @@ func RandomSearch(ctx context.Context, space *ssdconf.Space, v *Validator, g *Gr
 	if !space.Objectives.Scalar() {
 		res.Front, res.Hypervolume = buildFront(space.Objectives, validated)
 	}
-	res.SimRuns = v.SimRuns() - simStart
+	res.SimRuns = freshMeasurements(v) - simStart
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

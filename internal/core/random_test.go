@@ -9,24 +9,41 @@ import (
 	"autoblox/internal/workload"
 )
 
+// TestRandomSearchBasics runs the search on the local pool and, after
+// the reference is graded locally, on a stub remote backend: SimRuns
+// must count fresh measurements wherever they executed.
 func TestRandomSearchBasics(t *testing.T) {
-	space, v, g, ref := smallTunerEnv(t)
-	res, err := RandomSearch(context.Background(), space, v, g, string(workload.Database),
-		[]ssdconf.Config{ref}, TunerOptions{Seed: 5, MaxIterations: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestGrade < 0 {
-		t.Fatalf("random search regressed below the reference: %g", res.BestGrade)
-	}
-	if res.Iterations != 8 {
-		t.Fatalf("iterations = %d", res.Iterations)
-	}
-	if err := space.CheckConstraints(res.Best); err != nil {
-		t.Fatalf("best config violates constraints: %v", err)
-	}
-	if len(res.BestPerf) != 3 {
-		t.Fatalf("BestPerf covers %d clusters", len(res.BestPerf))
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+	}{{"local", nil}, {"remote", &stubBackend{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			space, v, g, ref := smallTunerEnv(t)
+			v.Backend = tc.backend
+			start := v.Stats()
+			res, err := RandomSearch(context.Background(), space, v, g, string(workload.Database),
+				[]ssdconf.Config{ref}, TunerOptions{Seed: 5, MaxIterations: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BestGrade < 0 {
+				t.Fatalf("random search regressed below the reference: %g", res.BestGrade)
+			}
+			if res.Iterations != 8 {
+				t.Fatalf("iterations = %d", res.Iterations)
+			}
+			if err := space.CheckConstraints(res.Best); err != nil {
+				t.Fatalf("best config violates constraints: %v", err)
+			}
+			if len(res.BestPerf) != 3 {
+				t.Fatalf("BestPerf covers %d clusters", len(res.BestPerf))
+			}
+			end := v.Stats()
+			fresh := int(end.SimRuns + end.RemoteResults - start.SimRuns - start.RemoteResults)
+			if fresh == 0 || res.SimRuns != fresh {
+				t.Fatalf("SimRuns = %d, want the %d fresh measurements", res.SimRuns, fresh)
+			}
+		})
 	}
 }
 

@@ -111,8 +111,8 @@ func TestTransientRetry(t *testing.T) {
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("factory invoked %d times, want 3 (2 transient failures + 1 success)", got)
 	}
-	if v.SimRuns() != 1 {
-		t.Fatalf("SimRuns = %d, want 1 (only the successful attempt completes)", v.SimRuns())
+	if v.Stats().SimRuns != 1 {
+		t.Fatalf("SimRuns = %d, want 1 (only the successful attempt completes)", v.Stats().SimRuns)
 	}
 
 	// A non-transient error must fail on the first attempt despite the

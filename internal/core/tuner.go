@@ -224,12 +224,6 @@ func NewTuner(space *ssdconf.Space, v *Validator, g *Grader, opts TunerOptions) 
 	return t, nil
 }
 
-// Tune learns an optimized configuration for the target cluster,
-// starting from the given initial configurations (from AutoDB when the
-// cluster is known, else the commodity reference). Cancelling ctx stops
-// the search between (and, cooperatively, within) iterations with
-// ErrInterrupted; with Opts.Checkpoint set, the snapshot of the last
-// completed iteration survives on disk for Opts.Resume.
 // freshMeasurements counts measurements that were not served from the
 // memo cache, wherever they executed: in-process simulations plus
 // results returned by a distributed backend.
@@ -238,6 +232,12 @@ func freshMeasurements(v *Validator) int {
 	return int(st.SimRuns + st.RemoteResults)
 }
 
+// Tune learns an optimized configuration for the target cluster,
+// starting from the given initial configurations (from AutoDB when the
+// cluster is known, else the commodity reference). Cancelling ctx stops
+// the search between (and, cooperatively, within) iterations with
+// ErrInterrupted; with Opts.Checkpoint set, the snapshot of the last
+// completed iteration survives on disk for Opts.Resume.
 func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Config) (*TuneResult, error) {
 	if _, ok := t.Validator.Workloads[target]; !ok {
 		return nil, fmt.Errorf("core: unknown target workload %q", target)

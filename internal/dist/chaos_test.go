@@ -79,7 +79,6 @@ func TestTuneChaosEquivalence(t *testing.T) {
 		Listen:       "127.0.0.1:0",
 		LeaseTTL:     750 * time.Millisecond, // lost grants/results recover via expiry
 		PollInterval: 25 * time.Millisecond,
-		Hedge:        true, // stragglers (wedged by drops) also recover via hedged leases
 		WrapConn:     transport.Wrap,
 	})
 	if err != nil {

@@ -3,7 +3,7 @@ package dist
 import "time"
 
 // Clock abstracts wall time for the coordinator's lease machinery —
-// TTL expiry, hedging thresholds, quarantine windows. Production uses
+// TTL expiry and quarantine windows. Production uses
 // the real clock; tests inject a fake to make every expiry edge case
 // deterministic instead of sleep-calibrated.
 //

@@ -27,7 +27,6 @@ const (
 	MetricHandshakeRejects    = "dist_handshake_rejects_total"
 	MetricStatsPushes         = "dist_stats_pushes_total"
 	MetricWorkersConnected    = "dist_workers_connected"
-	MetricHedgedLeases        = "dist_hedged_leases_total"
 	MetricWorkersQuarantined  = "dist_workers_quarantined"
 	MetricCrossChecked        = "dist_results_crosschecked_total"
 	MetricCrossCheckDivergent = "dist_results_crosschecked_divergent_total"
@@ -48,64 +47,41 @@ type CoordinatorOptions struct {
 	// empty grant tells the worker to ask again (default 250ms). It is
 	// also the granularity at which expired leases are detected.
 	PollInterval time.Duration
-	// BatchMax caps leases per grant (default 16).
-	BatchMax int
 	// Obs, when set, receives fleet counters and per-worker busy
 	// histograms. Never influences results.
 	Obs *obs.Registry
 	// Clock, when set, replaces the wall clock for all lease
-	// bookkeeping (TTL expiry, hedging age, quarantine windows) —
-	// tests inject a fake to pin expiry edge cases deterministically.
+	// bookkeeping (TTL expiry, quarantine windows) — tests inject a
+	// fake to pin expiry edge cases deterministically.
 	Clock Clock
 
-	// Hedge enables hedged re-leases: a job whose oldest active lease
-	// has aged past a completion-latency quantile is granted to a
-	// second worker too; the first valid result wins (results apply
-	// idempotently, so the loser is just a duplicate).
-	Hedge bool
-	// HedgeAfter, when positive, is a fixed straggler age threshold.
-	// When zero, the threshold is the HedgeQuantile of observed
-	// completion latencies (needing HedgeMinSamples completions first).
-	HedgeAfter time.Duration
-	// HedgeQuantile picks the completion-latency quantile used as the
-	// straggler threshold (default 0.95).
-	HedgeQuantile float64
-	// HedgeMinSamples is how many completions must be observed before
-	// quantile-based hedging kicks in (default 8).
-	HedgeMinSamples int
-	// HedgeMax caps concurrent leases per job, primary included
-	// (default 2).
-	HedgeMax int
-
 	// Quarantine enables per-worker health scoring: errors, timeouts,
-	// and lease expiries feed a failure EWMA; a worker crossing
-	// QuarantineThreshold is refused leases for QuarantineDuration
-	// (doubling per re-offense), then re-admitted on probation —
-	// single-lease grants until ProbationSuccesses clean results.
+	// and lease expiries feed a failure EWMA; a worker crossing 0.7 is
+	// refused leases for QuarantineDuration (doubling per re-offense),
+	// then re-admitted on probation — single-lease grants until 3 clean
+	// results.
 	Quarantine bool
-	// QuarantineThreshold is the failure-EWMA score that triggers
-	// quarantine (default 0.7).
-	QuarantineThreshold float64
-	// QuarantineMinEvents is the minimum number of health events
-	// before a worker may be quarantined (default 4).
-	QuarantineMinEvents int
 	// QuarantineDuration is the first quarantine's length (default
 	// 30s); each subsequent quarantine doubles it.
 	QuarantineDuration time.Duration
-	// ProbationSuccesses is how many clean results end probation
-	// (default 3).
-	ProbationSuccesses int
 
 	// CrossCheck is the fraction of successful remote results that are
 	// re-simulated locally before being released to waiters (0 = off,
 	// 1 = every result). The sample is seeded per key, so whether a
 	// key is checked is deterministic. A worker whose result diverges
 	// from the local re-simulation is marked byzantine — permanently
-	// quarantined, its unverified results requeued.
+	// refused leases, its unverified results requeued.
 	CrossCheck float64
-	// CrossCheckSeed keys the sampling hash.
-	CrossCheckSeed int64
 }
+
+// Fixed lease and health policy.
+const (
+	batchMax            = 16  // leases per grant
+	quarantineThreshold = 0.7 // failure EWMA that triggers quarantine
+	quarantineMinEvents = 4   // health events before a worker may be quarantined
+	probationSuccesses  = 3   // clean results that end probation
+	crossCheckSeed      = 0   // keys the cross-check sampling hash
+)
 
 func (o CoordinatorOptions) leaseTTL() time.Duration {
 	if o.LeaseTTL > 0 {
@@ -121,60 +97,11 @@ func (o CoordinatorOptions) pollInterval() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (o CoordinatorOptions) batchMax() int {
-	if o.BatchMax > 0 {
-		return o.BatchMax
-	}
-	return 16
-}
-
-func (o CoordinatorOptions) hedgeQuantile() float64 {
-	if o.HedgeQuantile > 0 {
-		return o.HedgeQuantile
-	}
-	return 0.95
-}
-
-func (o CoordinatorOptions) hedgeMinSamples() int {
-	if o.HedgeMinSamples > 0 {
-		return o.HedgeMinSamples
-	}
-	return 8
-}
-
-func (o CoordinatorOptions) hedgeMax() int {
-	if o.HedgeMax > 1 {
-		return o.HedgeMax
-	}
-	return 2
-}
-
-func (o CoordinatorOptions) quarantineThreshold() float64 {
-	if o.QuarantineThreshold > 0 {
-		return o.QuarantineThreshold
-	}
-	return 0.7
-}
-
-func (o CoordinatorOptions) quarantineMinEvents() int {
-	if o.QuarantineMinEvents > 0 {
-		return o.QuarantineMinEvents
-	}
-	return 4
-}
-
 func (o CoordinatorOptions) quarantineDuration() time.Duration {
 	if o.QuarantineDuration > 0 {
 		return o.QuarantineDuration
 	}
 	return 30 * time.Second
-}
-
-func (o CoordinatorOptions) probationSuccesses() int {
-	if o.ProbationSuccesses > 0 {
-		return o.ProbationSuccesses
-	}
-	return 3
 }
 
 // FleetCounters is a point-in-time snapshot of the coordinator's
@@ -186,7 +113,6 @@ type FleetCounters struct {
 	Duplicates       int64
 	HandshakeRejects int64
 	StatsPushes      int64
-	Hedged           int64
 	Quarantines      int64
 	CrossChecked     int64
 	Divergent        int64
@@ -201,29 +127,27 @@ const (
 	jobDone
 )
 
-// leaseInfo is one active lease binding a job to a session. A job may
-// hold several concurrently (hedging); the first applied result
-// releases them all.
+// leaseInfo is one active lease binding a job to a session. A job
+// holds at most one, and only while it is jobLeased.
 type leaseInfo struct {
+	id     uint64
 	job    *distJob
 	sess   *session
 	expiry time.Time
-	hedged bool
 }
 
 // distJob is one measurement key moving through the lease state
 // machine.
 type distJob struct {
-	key        simKey
-	cfg        ssdconf.Config
-	submitted  time.Time
-	state      jobState
-	leases     map[uint64]*leaseInfo // active leases (state == jobLeased)
-	firstGrant time.Time             // oldest active lease's grant time (hedging age)
-	grants     int                   // total leases issued for this job
-	expiries   int                   // times the job fully returned to pending via expiry
-	waited     bool
-	queueWait  time.Duration // submit → first grant
+	key       simKey
+	cfg       ssdconf.Config
+	submitted time.Time
+	state     jobState
+	lease     *leaseInfo // active lease (state == jobLeased)
+	grants    int        // total leases issued for this job
+	expiries  int        // times the job returned to pending via expiry
+	waited    bool
+	queueWait time.Duration // submit → first grant
 
 	// Cross-validation holds the remote result here while a local
 	// re-simulation adjudicates it (state == jobVerifying).
@@ -290,10 +214,6 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("dist: worker %s: %s", e.Worker, e.Msg)
 }
 
-// completionWindow is the bounded sample of recent completion
-// latencies feeding the hedging quantile.
-const completionWindow = 64
-
 // Coordinator owns the distributed measurement queue and implements
 // core.Backend: Measure enqueues a key and blocks until some worker
 // returns its result. Deduplication generalizes the validator's
@@ -307,7 +227,7 @@ type Coordinator struct {
 
 	counters                                                       core.BackendCounters
 	granted, expired, reassigned, duplicates, rejects, statsPushes atomic.Int64
-	hedged, quarantines, crosschecked, divergent                   atomic.Int64
+	quarantines, crosschecked, divergent                           atomic.Int64
 
 	// traceID names this coordinator's tracing session; leases carry it
 	// so worker-side trace events correlate back to this tune.
@@ -319,21 +239,19 @@ type Coordinator struct {
 	verifyWG     sync.WaitGroup
 	verifyOnce   sync.Once
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	closed      bool
-	nextLease   uint64
-	nextLane    int64
-	pending     []*distJob
-	leased      map[uint64]*leaseInfo
-	byKey       map[simKey]*distJob
-	tallies     map[string]*workerTally
-	verifyQ     []*distJob
-	completions [completionWindow]time.Duration
-	compN       int
-	quarActive  int // currently quarantined workers (gauge)
-	crossV      *core.Validator
-	crossVErr   error
+	mu         sync.Mutex
+	cond       *sync.Cond
+	closed     bool
+	nextLease  uint64
+	nextLane   int64
+	pending    []*distJob
+	leased     map[uint64]*leaseInfo
+	byKey      map[simKey]*distJob
+	tallies    map[string]*workerTally
+	verifyQ    []*distJob
+	quarActive int // currently quarantined workers (gauge)
+	crossV     *core.Validator
+	crossVErr  error
 }
 
 // NewCoordinator builds a coordinator over a fingerprinted env.
@@ -371,7 +289,6 @@ func (c *Coordinator) Counters() FleetCounters {
 		Duplicates:       c.duplicates.Load(),
 		HandshakeRejects: c.rejects.Load(),
 		StatsPushes:      c.statsPushes.Load(),
-		Hedged:           c.hedged.Load(),
 		Quarantines:      c.quarantines.Load(),
 		CrossChecked:     c.crosschecked.Load(),
 		Divergent:        c.divergent.Load(),
@@ -435,7 +352,6 @@ type FleetStatus struct {
 	DuplicateResults int64          `json:"duplicate_results"`
 	HandshakeRejects int64          `json:"handshake_rejects"`
 	StatsPushes      int64          `json:"stats_pushes"`
-	HedgedLeases     int64          `json:"hedged_leases,omitempty"`
 	CrossChecked     int64          `json:"results_crosschecked,omitempty"`
 	Divergent        int64          `json:"results_divergent,omitempty"`
 	Workers          []WorkerStatus `json:"workers,omitempty"`
@@ -450,7 +366,6 @@ func (c *Coordinator) StatusSnapshot() FleetStatus {
 		DuplicateResults: c.duplicates.Load(),
 		HandshakeRejects: c.rejects.Load(),
 		StatsPushes:      c.statsPushes.Load(),
-		HedgedLeases:     c.hedged.Load(),
 		CrossChecked:     c.crosschecked.Load(),
 		Divergent:        c.divergent.Load(),
 	}
@@ -534,7 +449,7 @@ func (c *Coordinator) healthEventLocked(name string, fail bool, now time.Time) {
 	}
 	// A failure during probation re-quarantines immediately; otherwise
 	// the EWMA must cross the threshold with enough samples behind it.
-	if t.probation || (t.healthEvents >= int64(c.opts.quarantineMinEvents()) && t.health >= c.opts.quarantineThreshold()) {
+	if t.probation || (t.healthEvents >= quarantineMinEvents && t.health >= quarantineThreshold) {
 		c.quarantineLocked(name, t, now, "health")
 	}
 }
@@ -560,7 +475,7 @@ func (c *Coordinator) quarantineLocked(name string, t *workerTally, now time.Tim
 func (c *Coordinator) readmitLocked(name string, t *workerTally) {
 	t.quarantined = false
 	t.probation = true
-	t.probationLeft = c.opts.probationSuccesses()
+	t.probationLeft = probationSuccesses
 	t.health = 0
 	t.healthEvents = 0
 	c.quarActive--
@@ -586,15 +501,13 @@ func (c *Coordinator) markByzantineLocked(name string, now time.Time) {
 	}
 	t.quarUntil = now.Add(1000000 * time.Hour) // permanent
 	obs.RecordEvent("worker-byzantine", "worker", name)
-	for id, li := range c.leased {
+	for _, li := range c.leased {
 		if li.sess.name != name {
 			continue
 		}
-		c.releaseLeaseLocked(id, li)
-		if li.job.state == jobLeased && len(li.job.leases) == 0 {
-			li.job.state = jobPending
-			c.pending = append(c.pending, li.job)
-		}
+		c.releaseLeaseLocked(li)
+		li.job.state = jobPending
+		c.pending = append(c.pending, li.job)
 	}
 	for _, j := range c.byKey {
 		if j.state == jobVerifying && j.verifyWorker == name {
@@ -612,12 +525,12 @@ func (c *Coordinator) setQuarGaugeLocked() {
 	}
 }
 
-// releaseLeaseLocked removes one lease from all three indexes (global,
+// releaseLeaseLocked removes a lease from all three indexes (global,
 // session, job); c.mu held.
-func (c *Coordinator) releaseLeaseLocked(id uint64, li *leaseInfo) {
-	delete(c.leased, id)
-	delete(li.sess.leases, id)
-	delete(li.job.leases, id)
+func (c *Coordinator) releaseLeaseLocked(li *leaseInfo) {
+	delete(c.leased, li.id)
+	delete(li.sess.leases, li.id)
+	li.job.lease = nil
 }
 
 // Measure implements core.Backend: enqueue the job (deduplicated by
@@ -651,7 +564,6 @@ func (c *Coordinator) submit(job core.Job) (*distJob, error) {
 		key:       k,
 		cfg:       job.Cfg.Clone(),
 		submitted: c.now(),
-		leases:    make(map[uint64]*leaseInfo),
 		done:      make(chan struct{}),
 	}
 	c.byKey[k] = j
@@ -693,35 +605,32 @@ func (c *Coordinator) isClosed() bool {
 	return c.closed
 }
 
-// expireLocked returns every overdue lease to the pending queue,
-// attributing the expiry to the worker that held it. A hedged job
-// only requeues once its last active lease is gone. A job fully
-// expiring for the second time records a "warn-flaky-job" flight
-// event — two workers (or the same worker twice) sat on the same
-// deterministic job, which usually means a wedged or overloaded
-// worker, not a bad job.
+// expireLocked returns every overdue lease's job to the pending queue,
+// attributing the expiry to the worker that held it. A job expiring
+// for the second time records a "warn-flaky-job" flight event — two
+// workers (or the same worker twice) sat on the same deterministic
+// job, which usually means a wedged or overloaded worker, not a bad
+// job.
 func (c *Coordinator) expireLocked(now time.Time) {
-	for id, li := range c.leased {
+	for _, li := range c.leased {
 		if now.Before(li.expiry) {
 			continue
 		}
 		j := li.job
 		owner := li.sess.name
-		c.releaseLeaseLocked(id, li)
+		c.releaseLeaseLocked(li)
 		c.tallyLocked(owner).expired++
 		c.healthEventLocked(owner, true, now)
 		c.expired.Add(1)
 		c.obsInc(MetricLeasesExpired)
 		obs.RecordEvent("lease-expired",
-			"lease", fmt.Sprint(id), "worker", owner, "trace", j.key.name, "expiries", fmt.Sprint(j.expiries))
-		if j.state == jobLeased && len(j.leases) == 0 {
-			j.state = jobPending
-			j.expiries++
-			c.pending = append(c.pending, j)
-			if j.expiries == 2 {
-				obs.RecordEvent("warn-flaky-job",
-					"trace", j.key.name, "cfg", j.key.cfg, "worker", owner, "expiries", "2")
-			}
+			"lease", fmt.Sprint(li.id), "worker", owner, "trace", j.key.name, "expiries", fmt.Sprint(j.expiries))
+		j.state = jobPending
+		j.expiries++
+		c.pending = append(c.pending, j)
+		if j.expiries == 2 {
+			obs.RecordEvent("warn-flaky-job",
+				"trace", j.key.name, "cfg", j.key.cfg, "worker", owner, "expiries", "2")
 		}
 	}
 }
@@ -731,16 +640,17 @@ func (c *Coordinator) dropSession(sess *session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	for id, li := range sess.leases {
+	for _, li := range sess.leases {
 		j := li.job
-		c.releaseLeaseLocked(id, li)
+		c.releaseLeaseLocked(li)
 		c.expired.Add(1)
 		c.obsInc(MetricLeasesExpired)
 		c.tallyLocked(sess.name).expired++
 		c.healthEventLocked(sess.name, true, now)
 		obs.RecordEvent("lease-expired",
-			"lease", fmt.Sprint(id), "worker", sess.name, "trace", j.key.name, "reason", "disconnect")
-		if j.state == jobLeased && len(j.leases) == 0 {
+			"lease", fmt.Sprint(li.id), "worker", sess.name, "trace", j.key.name, "reason", "disconnect")
+		// Close marks leased jobs done but leaves session leases in place.
+		if j.state == jobLeased {
 			j.state = jobPending
 			j.expiries++
 			c.pending = append(c.pending, j)
@@ -760,106 +670,33 @@ func (c *Coordinator) dropSession(sess *session) {
 	c.cond.Broadcast()
 }
 
-// grantLocked issues one lease of j to sess; c.mu held.
-func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time, hedged bool) Lease {
+// grantLocked issues the lease of pending job j to sess; c.mu held.
+func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time) Lease {
 	c.nextLease++
-	li := &leaseInfo{job: j, sess: sess, expiry: now.Add(c.opts.leaseTTL()), hedged: hedged}
-	if len(j.leases) == 0 {
-		j.firstGrant = now
-	}
+	li := &leaseInfo{id: c.nextLease, job: j, sess: sess, expiry: now.Add(c.opts.leaseTTL())}
 	if !j.waited {
 		j.waited = true
 		j.queueWait = now.Sub(j.submitted)
 	}
-	if j.grants > 0 && !hedged {
+	if j.grants > 0 {
 		c.reassigned.Add(1)
 		c.obsInc(MetricLeasesReassigned)
 		c.tallyLocked(sess.name).reassigned++
 		obs.RecordEvent("lease-reassigned",
-			"lease", fmt.Sprint(c.nextLease), "worker", sess.name, "trace", j.key.name, "grants", fmt.Sprint(j.grants+1))
+			"lease", fmt.Sprint(li.id), "worker", sess.name, "trace", j.key.name, "grants", fmt.Sprint(j.grants+1))
 	}
 	j.grants++
 	j.state = jobLeased
-	c.leased[c.nextLease] = li
-	sess.leases[c.nextLease] = li
-	j.leases[c.nextLease] = li
+	j.lease = li
+	c.leased[li.id] = li
+	sess.leases[li.id] = li
 	return Lease{
-		ID:      c.nextLease,
+		ID:      li.id,
 		CfgKey:  j.key.cfg,
 		Cfg:     []int(j.cfg),
 		Name:    j.key.name,
 		TraceID: c.traceID,
 	}
-}
-
-// hedgeThresholdLocked resolves the straggler age past which a leased
-// job is eligible for a duplicate grant; 0 disables hedging for now.
-// c.mu held.
-func (c *Coordinator) hedgeThresholdLocked() time.Duration {
-	if c.opts.HedgeAfter > 0 {
-		return c.opts.HedgeAfter
-	}
-	n := c.compN
-	if n > completionWindow {
-		n = completionWindow
-	}
-	if n < c.opts.hedgeMinSamples() {
-		return 0
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, c.completions[:n])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	th := buf[int(c.opts.hedgeQuantile()*float64(n-1))]
-	if pi := c.opts.pollInterval(); th < pi {
-		th = pi
-	}
-	return th
-}
-
-// hedgeLocked issues duplicate leases for straggler jobs to sess, up
-// to the remaining grant capacity; c.mu held.
-func (c *Coordinator) hedgeLocked(sess *session, now time.Time, room int) []Lease {
-	if !c.opts.Hedge || room <= 0 {
-		return nil
-	}
-	th := c.hedgeThresholdLocked()
-	if th <= 0 {
-		return nil
-	}
-	seen := make(map[*distJob]bool)
-	var out []Lease
-	for _, li := range c.leased {
-		j := li.job
-		if seen[j] || j.state != jobLeased || len(j.leases) >= c.opts.hedgeMax() {
-			continue
-		}
-		seen[j] = true
-		if now.Sub(j.firstGrant) < th {
-			continue
-		}
-		// Don't hedge to a worker already holding this job.
-		holds := false
-		for _, other := range j.leases {
-			if other.sess == sess {
-				holds = true
-				break
-			}
-		}
-		if holds {
-			continue
-		}
-		l := c.grantLocked(j, sess, now, true)
-		c.hedged.Add(1)
-		c.obsInc(MetricHedgedLeases)
-		obs.RecordEvent("lease-hedged",
-			"lease", fmt.Sprint(l.ID), "worker", sess.name, "trace", j.key.name,
-			"age", now.Sub(j.firstGrant).String(), "threshold", th.String())
-		out = append(out, l)
-		if len(out) >= room {
-			break
-		}
-	}
-	return out
 }
 
 // lease blocks up to PollInterval for work, then answers. closed=true
@@ -868,8 +705,8 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 	if max <= 0 {
 		max = 1
 	}
-	if bm := c.opts.batchMax(); max > bm {
-		max = bm
+	if max > batchMax {
+		max = batchMax
 	}
 	// The poll deadline is transport liveness (how long a worker's
 	// request may block), not lease semantics — it stays on the wall
@@ -883,12 +720,13 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 		if c.closed {
 			return nil, true
 		}
-		eligible := true
-		limit := max
-		if c.opts.Quarantine {
-			t := c.tallyLocked(sess.name)
+		// A byzantine worker is refused with or without Quarantine:
+		// cross-checking marks it, and every result it sends is dropped.
+		t := c.tallyLocked(sess.name)
+		eligible, limit := !t.byzantine, max
+		if eligible && c.opts.Quarantine {
 			if t.quarantined {
-				if t.byzantine || now.Before(t.quarUntil) {
+				if now.Before(t.quarUntil) {
 					eligible = false
 				} else {
 					c.readmitLocked(sess.name, t)
@@ -905,19 +743,12 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 			}
 			leases = make([]Lease, 0, n)
 			for _, j := range c.pending[:n] {
-				leases = append(leases, c.grantLocked(j, sess, now, false))
+				leases = append(leases, c.grantLocked(j, sess, now))
 			}
 			c.pending = c.pending[n:]
 			c.granted.Add(int64(len(leases)))
 			c.obsAdd(MetricLeasesGranted, int64(len(leases)))
 			return leases, false
-		}
-		if eligible {
-			if hl := c.hedgeLocked(sess, now, limit); len(hl) > 0 {
-				c.granted.Add(int64(len(hl)))
-				c.obsAdd(MetricLeasesGranted, int64(len(hl)))
-				return hl, false
-			}
 		}
 		wall := time.Now()
 		if !wall.Before(deadline) {
@@ -925,9 +756,9 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 		}
 		// cond has no deadline wait; arm a broadcast at the poll boundary
 		// so this wakes for new work, shutdown, or timeout alike.
-		t := time.AfterFunc(deadline.Sub(wall), c.cond.Broadcast)
+		timer := time.AfterFunc(deadline.Sub(wall), c.cond.Broadcast)
 		c.cond.Wait()
-		t.Stop()
+		timer.Stop()
 	}
 }
 
@@ -942,7 +773,7 @@ func (c *Coordinator) pickCrossCheck(k simKey) bool {
 		return true
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s", c.opts.CrossCheckSeed, k.cfg, k.name)
+	fmt.Fprintf(h, "%d|%s|%s", crossCheckSeed, k.cfg, k.name)
 	z := h.Sum64()
 	// splitmix64 finalizer whitens the fnv hash into a uniform draw.
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -1011,12 +842,7 @@ func (c *Coordinator) applyResults(sess *session, msg *ResultMsg) {
 		replays = append(replays, replay{r: r, submitted: j.submitted, done: now})
 		switch j.state {
 		case jobLeased:
-			if r.Err == "" {
-				c.recordCompletionLocked(now.Sub(j.firstGrant))
-			}
-			for id, li := range j.leases {
-				c.releaseLeaseLocked(id, li)
-			}
+			c.releaseLeaseLocked(j.lease)
 		case jobPending:
 			// Reassignment raced the late result: pull the job back out of
 			// the queue before some worker re-runs it.
@@ -1061,16 +887,6 @@ func (c *Coordinator) applyResults(sess *session, msg *ResultMsg) {
 				"lease", leaseID, "worker", msg.Worker, "trace", rp.r.Name, "trace_id", c.traceID)
 		}
 	}
-}
-
-// recordCompletionLocked folds one grant→result latency into the
-// hedging sample window; c.mu held.
-func (c *Coordinator) recordCompletionLocked(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.completions[c.compN%completionWindow] = d
-	c.compN++
 }
 
 // startVerifierLocked launches the cross-validation goroutine once;

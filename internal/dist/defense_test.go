@@ -30,89 +30,6 @@ func eventsByKind(rec *obs.FlightRecorder, kind string) []obs.FlightEvent {
 	return out
 }
 
-// TestHedgedLeaseRescuesStraggler pins the hedging policy on a fake
-// clock: a job whose lease has aged past HedgeAfter is granted to a
-// second worker too, the duplicate grant is counted as hedged (not
-// reassigned), a third worker gets nothing (HedgeMax caps concurrent
-// leases), and whichever result lands first wins while the loser is a
-// duplicate.
-func TestHedgedLeaseRescuesStraggler(t *testing.T) {
-	rec := obs.NewFlightRecorder(256)
-	obs.SetFlightRecorder(rec)
-	defer obs.SetFlightRecorder(nil)
-
-	const after = 10 * time.Second
-	clk := newFakeClock()
-	env := testEnv(t, 600, ssd.FaultProfile{}, workload.Database)
-	coord := NewCoordinator(env, CoordinatorOptions{
-		LeaseTTL:     time.Minute, // hedging, not expiry, must fire
-		PollInterval: time.Millisecond,
-		Clock:        clk,
-		Hedge:        true,
-		HedgeAfter:   after,
-	})
-	t.Cleanup(coord.Close)
-
-	cfgs := distinctConfigs(t, env.Space(), 1)
-	done := measureOne(coord, cfgs[0])
-
-	holder := dialFake(t, coord)
-	holder.mustAccept("holder", env.SpaceSig)
-	leases := holder.leaseAtLeast(1)
-
-	// Below the straggler threshold no duplicate is issued.
-	probe := dialFake(t, coord)
-	probe.mustAccept("probe", env.SpaceSig)
-	probe.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 1}})
-	if m := probe.recv(); len(m.LeaseGrant.Leases) != 0 {
-		t.Fatalf("hedged before threshold: %+v", m.LeaseGrant.Leases)
-	}
-
-	// At the threshold the probe gets a duplicate lease for the same job.
-	clk.Advance(after)
-	hedged := probe.leaseAtLeast(1)
-	if hedged[0].CfgKey != leases[0].CfgKey || hedged[0].Name != leases[0].Name {
-		t.Fatalf("hedge is a different job: %+v vs %+v", hedged[0], leases[0])
-	}
-	if hedged[0].ID == leases[0].ID {
-		t.Fatal("hedged grant reused the primary lease ID")
-	}
-	fc := coord.Counters()
-	if fc.Hedged != 1 {
-		t.Fatalf("Hedged = %d, want 1", fc.Hedged)
-	}
-	if fc.Reassigned != 0 || fc.Expired != 0 {
-		t.Fatalf("hedge misattributed: %+v (want no reassignments or expiries)", fc)
-	}
-	if evs := eventsByKind(rec, "lease-hedged"); len(evs) != 1 {
-		t.Fatalf("lease-hedged events = %d, want 1", len(evs))
-	}
-
-	// HedgeMax (default 2) caps concurrent leases: a third worker gets
-	// nothing even though the job is still outstanding.
-	third := dialFake(t, coord)
-	third.mustAccept("third", env.SpaceSig)
-	third.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 1}})
-	if m := third.recv(); len(m.LeaseGrant.Leases) != 0 {
-		t.Fatalf("third lease for a twice-leased job: %+v", m.LeaseGrant.Leases)
-	}
-
-	// The hedge wins; the original holder's late answer is a duplicate.
-	probe.send(&Message{Type: MsgResult, Result: &ResultMsg{Worker: "probe", Results: []JobResult{
-		{LeaseID: hedged[0].ID, CfgKey: hedged[0].CfgKey, Name: hedged[0].Name,
-			Perf: autodb.Perf{LatencyNS: 42, ThroughputBps: 1}, SimNS: 1},
-	}}})
-	if err := <-done; err != nil {
-		t.Fatalf("Measure via hedged lease: %v", err)
-	}
-	holder.send(&Message{Type: MsgResult, Result: &ResultMsg{Worker: "holder", Results: []JobResult{
-		{LeaseID: leases[0].ID, CfgKey: leases[0].CfgKey, Name: leases[0].Name,
-			Perf: autodb.Perf{LatencyNS: 42, ThroughputBps: 1}, SimNS: 1},
-	}}})
-	waitFor(t, func() bool { return coord.Counters().Duplicates >= 1 },
-		"straggler's result counted as duplicate")
-}
-
 // TestQuarantineAndProbationCycle walks the full health state machine
 // on a fake clock: five consecutive failures push the EWMA over the
 // threshold (quarantine), leases are refused while pending work exists,
@@ -421,5 +338,44 @@ func TestByzantineWorkerDetectedAndTuneConverges(t *testing.T) {
 	if !bytes.Equal(serial, byzantine) {
 		t.Fatalf("byzantine worker corrupted the tune: checkpoint differs from serial (%d vs %d bytes)\nserial:\n%.2000s",
 			len(byzantine), len(serial), serial)
+	}
+}
+
+// TestByzantineRefusedWithoutQuarantine: cross-checking alone, with
+// health scoring off, must stop leasing to a worker caught lying.
+// Otherwise every result it sends is dropped as a duplicate, and the
+// job it was handed waits out a full lease TTL.
+func TestByzantineRefusedWithoutQuarantine(t *testing.T) {
+	env := testEnv(t, 600, ssd.FaultProfile{}, workload.Database)
+	coord := NewCoordinator(env, CoordinatorOptions{
+		PollInterval: time.Millisecond,
+		CrossCheck:   1.0,
+	})
+	t.Cleanup(coord.Close)
+	done := measureOne(coord, distinctConfigs(t, env.Space(), 1)[0])
+
+	liar := dialFake(t, coord)
+	liar.mustAccept("liar", env.SpaceSig)
+	l := liar.leaseAtLeast(1)[0]
+	liar.send(&Message{Type: MsgResult, Result: &ResultMsg{Worker: "liar", Results: []JobResult{
+		{LeaseID: l.ID, CfgKey: l.CfgKey, Name: l.Name,
+			Perf: autodb.Perf{LatencyNS: 1, ThroughputBps: 1}, SimNS: 1},
+	}}})
+	waitFor(t, func() bool { return coord.StatusSnapshot().Pending == 1 },
+		"cross-check requeues the lied-about job")
+
+	liar.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 1}})
+	if m := liar.recv(); len(m.LeaseGrant.Leases) != 0 {
+		t.Fatalf("byzantine worker granted leases: %+v", m.LeaseGrant.Leases)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startLoopbackWorker(ctx, coord, &Worker{Name: "honest", Parallel: 1})
+	if err := <-done; err != nil {
+		t.Fatalf("requeued job: %v", err)
+	}
+	if fc := coord.Counters(); fc.Divergent != 1 {
+		t.Fatalf("Divergent = %d, want 1", fc.Divergent)
 	}
 }

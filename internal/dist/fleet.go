@@ -23,28 +23,16 @@ type FleetOptions struct {
 	// WorkerParallel bounds each loopback worker's concurrent
 	// simulations (0 = GOMAXPROCS).
 	WorkerParallel int
-	// BatchSize caps leases per pull on loopback workers.
-	BatchSize int
 	// SimTimeout/MaxRetries configure the loopback workers' validators.
 	SimTimeout time.Duration
 	MaxRetries int
-	// LeaseTTL/PollInterval/BatchMax tune the coordinator (see
+	// LeaseTTL/PollInterval tune the coordinator (see
 	// CoordinatorOptions).
 	LeaseTTL     time.Duration
 	PollInterval time.Duration
-	BatchMax     int
 	// Obs, when set, receives fleet counters, per-worker busy
 	// histograms, and the loopback workers' validator metrics.
 	Obs *obs.Registry
-	// Clock/Hedge/HedgeAfter/Quarantine/CrossCheck/CrossCheckSeed pass
-	// straight through to CoordinatorOptions (defenses are opt-in; see
-	// the field docs there).
-	Clock          Clock
-	Hedge          bool
-	HedgeAfter     time.Duration
-	Quarantine     bool
-	CrossCheck     float64
-	CrossCheckSeed int64
 	// WrapConn, when set, wraps every accepted remote connection before
 	// the coordinator serves it — the chaos-harness hook
 	// (chaos.Transport.Wrap injects deterministic faults on the server
@@ -70,16 +58,9 @@ func StartFleet(env *Env, opts FleetOptions) (*Fleet, error) {
 		return nil, fmt.Errorf("dist: fleet needs loopback workers or a listen address")
 	}
 	coord := NewCoordinator(env, CoordinatorOptions{
-		LeaseTTL:       opts.LeaseTTL,
-		PollInterval:   opts.PollInterval,
-		BatchMax:       opts.BatchMax,
-		Obs:            opts.Obs,
-		Clock:          opts.Clock,
-		Hedge:          opts.Hedge,
-		HedgeAfter:     opts.HedgeAfter,
-		Quarantine:     opts.Quarantine,
-		CrossCheck:     opts.CrossCheck,
-		CrossCheckSeed: opts.CrossCheckSeed,
+		LeaseTTL:     opts.LeaseTTL,
+		PollInterval: opts.PollInterval,
+		Obs:          opts.Obs,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fleet{coord: coord, cancel: cancel}
@@ -105,7 +86,6 @@ func StartFleet(env *Env, opts FleetOptions) (*Fleet, error) {
 		w := &Worker{
 			Name:       fmt.Sprintf("loopback-%d", i),
 			Parallel:   opts.WorkerParallel,
-			BatchSize:  opts.BatchSize,
 			SimTimeout: opts.SimTimeout,
 			MaxRetries: opts.MaxRetries,
 			Obs:        opts.Obs,

@@ -64,10 +64,9 @@ type Worker struct {
 	// connection only after Grace elapses. Zero keeps the legacy
 	// behavior (the conn is severed the instant the context cancels).
 	Grace time.Duration
-	// ReconnectBase/ReconnectMax bound RunReconnect's jittered
-	// exponential backoff (defaults 100ms / 5s).
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
+	// ReconnectMax caps RunReconnect's jittered exponential backoff
+	// (default 5s); the backoff starts at 100ms.
+	ReconnectMax time.Duration
 
 	jobs     atomic.Int64
 	busyNS   atomic.Int64
@@ -128,6 +127,9 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	return w.RunConn(ctx, conn)
 }
 
+// reconnectBase is RunReconnect's first backoff step.
+const reconnectBase = 100 * time.Millisecond
+
 // RunReconnect runs the worker with automatic redial: a transport
 // failure (dropped conn, mid-frame kill, partition) backs off with
 // jittered exponential delay and dials again, resuming the handshake
@@ -135,10 +137,6 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 // closes cleanly, the handshake is rejected, the context cancels, or
 // a graceful drain completes.
 func (w *Worker) RunReconnect(ctx context.Context, addr string) error {
-	base := w.ReconnectBase
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
 	max := w.ReconnectMax
 	if max <= 0 {
 		max = 5 * time.Second
@@ -169,7 +167,7 @@ func (w *Worker) RunReconnect(ctx context.Context, addr string) error {
 		if shift > 16 {
 			shift = 16
 		}
-		d := base << shift
+		d := reconnectBase << shift
 		if d > max {
 			d = max
 		}

@@ -174,7 +174,7 @@ func BenchmarkMatrixSweepSerialVsParallel(b *testing.B) {
 				if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 					b.Fatal(err)
 				}
-				if got, want := v.SimRuns(), len(cfgs)*len(ws); got != want {
+				if got, want := v.Stats().SimRuns, int64(len(cfgs)*len(ws)); got != want {
 					b.Fatalf("SimRuns = %d, want %d", got, want)
 				}
 			}
