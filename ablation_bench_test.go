@@ -152,12 +152,12 @@ func BenchmarkRecommendCached(b *testing.B) {
 	}
 	defer fw.Close()
 	probe := workload.MustGenerate(workload.Database, workload.Options{Requests: 6000, Seed: 9})
-	if _, err := fw.Recommend(probe); err != nil { // first: learns
+	if _, err := fw.RecommendContext(context.Background(), probe); err != nil { // first: learns
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := fw.Recommend(probe)
+		rec, err := fw.RecommendContext(context.Background(), probe)
 		if err != nil {
 			b.Fatal(err)
 		}

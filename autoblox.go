@@ -9,7 +9,7 @@
 //	fw, _ := autoblox.New(autoblox.DefaultConstraints(), autoblox.Options{DBPath: "autoblox.db"})
 //	defer fw.Close()
 //	fw.LearnWorkloads(trainingTraces)             // PCA + k-means clustering (§3.1)
-//	rec, _ := fw.Recommend(newTrace)              // cached lookup or full BO tuning (§3.4)
+//	rec, _ := fw.RecommendContext(ctx, newTrace)  // cached lookup or full BO tuning (§3.4)
 //	fmt.Println(rec.Device.Channels, rec.Grade)
 //
 // The package re-exports the pieces a downstream user needs — the
@@ -364,7 +364,7 @@ func (f *Framework) ensureEnv(ctx context.Context) error {
 	return nil
 }
 
-// Recommendation is the outcome of Recommend.
+// Recommendation is the outcome of RecommendContext.
 type Recommendation struct {
 	Assignment Assignment
 	// FromCache is true when AutoDB already held a configuration for the
@@ -377,16 +377,11 @@ type Recommendation struct {
 	Tune *TuneResult
 }
 
-// Recommend implements the paper's end-to-end workflow (Fig. 3): extract
-// the new workload's features, map it to a cluster, serve a learned
-// configuration from AutoDB when one exists, and otherwise learn a new
-// configuration and store it.
-func (f *Framework) Recommend(tr *Trace) (*Recommendation, error) {
-	return f.RecommendContext(context.Background(), tr)
-}
-
-// RecommendContext is Recommend with cooperative cancellation: ctx
-// aborts any tuning run the recommendation triggers.
+// RecommendContext implements the paper's end-to-end workflow (Fig. 3):
+// extract the new workload's features, map it to a cluster, serve a
+// learned configuration from AutoDB when one exists, and otherwise learn
+// a new configuration and store it. ctx aborts any tuning run the
+// recommendation triggers.
 func (f *Framework) RecommendContext(ctx context.Context, tr *Trace) (*Recommendation, error) {
 	if f.Clusterer == nil {
 		return nil, errors.New("autoblox: LearnWorkloads must run before Recommend")
@@ -459,15 +454,11 @@ func (f *Framework) RecommendContext(ctx context.Context, tr *Trace) (*Recommend
 	return rec, nil
 }
 
-// Tune learns an optimized configuration for a known cluster label.
-func (f *Framework) Tune(target string) (*TuneResult, error) {
-	return f.TuneContext(context.Background(), target)
-}
-
-// TuneContext is Tune with cooperative cancellation and (via
-// Options.Checkpoint/Resume) crash-safe, resumable search: cancelling
-// ctx stops the run with core.ErrInterrupted, leaving the checkpoint of
-// the last completed iteration on disk.
+// TuneContext learns an optimized configuration for a known cluster
+// label. The search is crash-safe and resumable via
+// Options.Checkpoint/Resume: cancelling ctx stops the run with
+// core.ErrInterrupted, leaving the checkpoint of the last completed
+// iteration on disk.
 func (f *Framework) TuneContext(ctx context.Context, target string) (*TuneResult, error) {
 	if err := f.ensureEnv(ctx); err != nil {
 		return nil, err
@@ -528,12 +519,8 @@ func (f *Framework) TuneContext(ctx context.Context, target string) (*TuneResult
 	return t.Tune(ctx, target, initial)
 }
 
-// Prune runs the §3.3 two-stage parameter pruning for a target cluster.
-func (f *Framework) Prune(target string, opts PruneOptions) (*core.CoarseResult, *core.FineResult, error) {
-	return f.PruneContext(context.Background(), target, opts)
-}
-
-// PruneContext is Prune with cooperative cancellation.
+// PruneContext runs the §3.3 two-stage parameter pruning for a target
+// cluster.
 func (f *Framework) PruneContext(ctx context.Context, target string, opts PruneOptions) (*core.CoarseResult, *core.FineResult, error) {
 	if err := f.ensureEnv(ctx); err != nil {
 		return nil, nil, err
@@ -549,13 +536,8 @@ func (f *Framework) PruneContext(ctx context.Context, target string, opts PruneO
 	return coarse, fine, nil
 }
 
-// WhatIf runs the §4.5 analysis against a performance goal. The
+// WhatIfContext runs the §4.5 analysis against a performance goal. The
 // framework should have been built with Options.WhatIfSpace.
-func (f *Framework) WhatIf(goal WhatIfGoal) (*WhatIfResult, error) {
-	return f.WhatIfContext(context.Background(), goal)
-}
-
-// WhatIfContext is WhatIf with cooperative cancellation.
 func (f *Framework) WhatIfContext(ctx context.Context, goal WhatIfGoal) (*WhatIfResult, error) {
 	if err := f.ensureEnv(ctx); err != nil {
 		return nil, err
@@ -565,21 +547,11 @@ func (f *Framework) WhatIfContext(ctx context.Context, goal WhatIfGoal) (*WhatIf
 	return core.WhatIf(ctx, f.Space, f.validator, f.grader, goal, []Config{f.refCfg}, opts)
 }
 
-// Simulate runs a trace against an explicit device configuration — the
-// standalone simulator entry point (cmd/ssdsim uses it).
-func Simulate(dev DeviceParams, tr *Trace) (*SimResult, error) {
-	return SimulateSource(dev, tr.Source())
-}
-
-// SimulateSource runs a streaming trace against an explicit device
-// configuration without materializing it; per-run memory is O(device
-// state), independent of trace length.
-func SimulateSource(dev DeviceParams, src Source) (*SimResult, error) {
-	return SimulateSourceContext(context.Background(), dev, src)
-}
-
-// SimulateSourceContext is SimulateSource with cooperative
-// cancellation (polled every 1024 requests inside the simulator).
+// SimulateSourceContext runs a streaming trace against an explicit
+// device configuration without materializing it — the standalone
+// simulator entry point. Per-run memory is O(device state), independent
+// of trace length; ctx is polled every 1024 requests inside the
+// simulator. Pass tr.Source() to replay a materialized Trace.
 func SimulateSourceContext(ctx context.Context, dev DeviceParams, src Source) (*SimResult, error) {
 	sim, err := ssd.NewSimulator(dev)
 	if err != nil {

@@ -1,6 +1,7 @@
 package autoblox
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -38,10 +39,10 @@ func learn(t *testing.T, fw *Framework, cats []workload.Category, n int) {
 func TestRecommendRequiresLearning(t *testing.T) {
 	fw := newFramework(t, Options{Seed: 1})
 	tr := workload.MustGenerate(workload.Database, workload.Options{Requests: 3000, Seed: 2})
-	if _, err := fw.Recommend(tr); err == nil {
+	if _, err := fw.RecommendContext(context.Background(), tr); err == nil {
 		t.Fatal("Recommend before LearnWorkloads should fail")
 	}
-	if _, err := fw.Tune("Database"); err == nil {
+	if _, err := fw.TuneContext(context.Background(), "Database"); err == nil {
 		t.Fatal("Tune before LearnWorkloads should fail")
 	}
 }
@@ -55,7 +56,7 @@ func TestEndToEndRecommendAndCache(t *testing.T) {
 	}
 
 	probe := workload.MustGenerate(workload.Database, workload.Options{Requests: 6000, Seed: 77})
-	rec, err := fw.Recommend(probe)
+	rec, err := fw.RecommendContext(context.Background(), probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestEndToEndRecommendAndCache(t *testing.T) {
 
 	// Second request for the same workload type is served from AutoDB.
 	probe2 := workload.MustGenerate(workload.Database, workload.Options{Requests: 6000, Seed: 78})
-	rec2, err := fw.Recommend(probe2)
+	rec2, err := fw.RecommendContext(context.Background(), probe2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestModelPersistsAcrossReopen(t *testing.T) {
 
 func TestSimulateConvenience(t *testing.T) {
 	tr := workload.MustGenerate(workload.Recomm, workload.Options{Requests: 2000, Seed: 3})
-	res, err := Simulate(Intel750(), tr)
+	res, err := SimulateSourceContext(context.Background(), Intel750(), tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSimulateConvenience(t *testing.T) {
 	}
 	bad := Intel750()
 	bad.Channels = 0
-	if _, err := Simulate(bad, tr); err == nil {
+	if _, err := SimulateSourceContext(context.Background(), bad, tr.Source()); err == nil {
 		t.Fatal("invalid device should fail")
 	}
 }
@@ -141,7 +142,7 @@ func TestDescribeConfig(t *testing.T) {
 func TestFrameworkPrune(t *testing.T) {
 	fw := newFramework(t, Options{Seed: 3})
 	learn(t, fw, []workload.Category{workload.Database, workload.WebSearch}, 6000)
-	coarse, fine, err := fw.Prune("Database", PruneOptions{Seed: 3, Samples: 20})
+	coarse, fine, err := fw.PruneContext(context.Background(), "Database", PruneOptions{Seed: 3, Samples: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFrameworkPrune(t *testing.T) {
 	if len(coarse.Sweeps) != 42 || len(fine.Order) == 0 {
 		t.Fatalf("prune outputs: %d sweeps, %d order", len(coarse.Sweeps), len(fine.Order))
 	}
-	if _, _, err := fw.Prune("nope", PruneOptions{}); err == nil {
+	if _, _, err := fw.PruneContext(context.Background(), "nope", PruneOptions{}); err == nil {
 		t.Fatal("unknown target should fail")
 	}
 }
@@ -158,7 +159,7 @@ func TestFrameworkWhatIf(t *testing.T) {
 	fw := newFramework(t, Options{Seed: 4, WhatIfSpace: true,
 		Tuner: TunerOptions{MaxIterations: 8, SGDSteps: 3}})
 	learn(t, fw, []workload.Category{workload.WebSearch}, 6000)
-	res, err := fw.WhatIf(WhatIfGoal{Target: "WebSearch", LatencyReduction: 1.01})
+	res, err := fw.WhatIfContext(context.Background(), WhatIfGoal{Target: "WebSearch", LatencyReduction: 1.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestFrameworkProgressCallback(t *testing.T) {
 	learn(t, fw, []workload.Category{workload.Database, workload.CloudStorage}, 6000)
 	var calls int
 	fw.SetProgress(func(iter int, best float64) { calls++ })
-	if _, err := fw.Tune("Database"); err != nil {
+	if _, err := fw.TuneContext(context.Background(), "Database"); err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {
@@ -187,7 +188,7 @@ func TestNovelWorkloadFormsNewCategory(t *testing.T) {
 
 	// RadiusAuth is far from all three training categories.
 	novel := workload.MustGenerate(workload.RadiusAuth, workload.Options{Requests: 9000, Seed: 9})
-	rec, err := fw.Recommend(novel)
+	rec, err := fw.RecommendContext(context.Background(), novel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestOutlierToleranceBeforeNewCategory(t *testing.T) {
 	// (tuned/served for that category, no retraining).
 	for i := 0; i < 2; i++ {
 		novel := workload.MustGenerate(workload.RadiusAuth, workload.Options{Requests: 9000, Seed: int64(20 + i)})
-		rec, err := fw.Recommend(novel)
+		rec, err := fw.RecommendContext(context.Background(), novel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func TestOutlierToleranceBeforeNewCategory(t *testing.T) {
 	}
 	// The third crosses the threshold.
 	novel := workload.MustGenerate(workload.RadiusAuth, workload.Options{Requests: 9000, Seed: 30})
-	if _, err := fw.Recommend(novel); err != nil {
+	if _, err := fw.RecommendContext(context.Background(), novel); err != nil {
 		t.Fatal(err)
 	}
 	if fw.Clusterer.KMeans.K() != kBefore+1 {

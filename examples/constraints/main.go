@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -38,7 +39,7 @@ func tune(name string, cons autoblox.Constraints, ref autoblox.DeviceParams, dir
 	if err := fw.LearnWorkloads(traces); err != nil {
 		log.Fatal(err)
 	}
-	res, err := fw.Tune("KVStore")
+	res, err := fw.TuneContext(context.Background(), "KVStore")
 	if err != nil {
 		fmt.Printf("%-22s tuning failed: %v\n", name, err)
 		return

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -38,7 +39,7 @@ func run(beta float64, dir string) (*autoblox.Framework, *autoblox.TuneResult) {
 	if err := fw.LearnWorkloads(training); err != nil {
 		log.Fatal(err)
 	}
-	res, err := fw.Tune("Database")
+	res, err := fw.TuneContext(context.Background(), "Database")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "autoblox-quickstart")
 	if err != nil {
 		log.Fatal(err)
@@ -49,11 +51,11 @@ func main() {
 	}
 	fmt.Println("learned clusters:", fw.Workloads())
 
-	// 3. A "new" workload arrives. Recommend() clusters it and — since
+	// 3. A "new" workload arrives. RecommendContext clusters it and — since
 	//    AutoDB is empty — learns an optimized configuration for it.
 	newTrace := workload.MustGenerate(workload.Database, workload.Options{Requests: 8000, Seed: 777})
 	t0 := time.Now()
-	rec, err := fw.Recommend(newTrace)
+	rec, err := fw.RecommendContext(ctx, newTrace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func main() {
 	//    the configuration database instantly.
 	again := workload.MustGenerate(workload.Database, workload.Options{Requests: 8000, Seed: 778})
 	t0 = time.Now()
-	rec2, err := fw.Recommend(again)
+	rec2, err := fw.RecommendContext(ctx, again)
 	if err != nil {
 		log.Fatal(err)
 	}

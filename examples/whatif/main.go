@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "autoblox-whatif")
 	if err != nil {
 		log.Fatal(err)
@@ -50,14 +52,14 @@ func main() {
 	fmt.Printf("what-if search space: %.3g configurations\n\n", fw.Space.SearchSpaceSize())
 
 	// Latency goal for the latency-critical workload.
-	res, err := fw.WhatIf(autoblox.WhatIfGoal{Target: "WebSearch", LatencyReduction: 2.0})
+	res, err := fw.WhatIfContext(ctx, autoblox.WhatIfGoal{Target: "WebSearch", LatencyReduction: 2.0})
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("WebSearch, 2x latency reduction", res)
 
 	// Throughput goal for the throughput-intensive workload.
-	res, err = fw.WhatIf(autoblox.WhatIfGoal{Target: "Database", ThroughputGain: 1.5})
+	res, err = fw.WhatIfContext(ctx, autoblox.WhatIfGoal{Target: "Database", ThroughputGain: 1.5})
 	if err != nil {
 		log.Fatal(err)
 	}

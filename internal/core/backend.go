@@ -28,7 +28,8 @@ type Job struct {
 // guarantee rests on it).
 //
 // The in-process pool (nil Validator.Backend) and the dist package's
-// coordinator/worker fleet are the two implementations.
+// coordinator/worker fleet are the two implementations. The backend is
+// the only place that bounds concurrency and counts simulator time.
 type Backend interface {
 	Measure(ctx context.Context, job Job) (autodb.Perf, error)
 	Stats() BackendStats
@@ -40,11 +41,10 @@ const (
 	BackendKindDist  = "dist"
 )
 
-// BackendStats decomposes where a backend's jobs spent their time.
-// ValidatorStats.WallSpan deliberately measures something else (real
-// elapsed span); this split keeps queue-wait and in-sim time separate
-// per backend, so a remote fleet's queueing delay is never conflated
-// with local pool busy time.
+// BackendStats decomposes where a backend's jobs spent their time. The
+// split keeps queue-wait and in-sim time separate per backend, so a
+// remote fleet's queueing delay is never conflated with local pool busy
+// time.
 type BackendStats struct {
 	// Kind identifies the implementation ("local", "dist", ...).
 	Kind string
@@ -105,26 +105,32 @@ func (c *BackendCounters) Snapshot(kind string) BackendStats {
 	}
 }
 
-// localBackend is the default in-process pool: a validator-wide
-// semaphore bounds concurrent simulations, and each Measure runs the
+// localBackend is the default in-process pool: its slots bound the
+// validator's concurrent simulations, and each Measure runs the
 // simulation on the calling goroutine once it holds a slot.
 type localBackend struct {
-	v *Validator
-	c BackendCounters
+	v     *Validator
+	slots chan struct{}
+	c     BackendCounters
 }
 
 func (b *localBackend) Measure(ctx context.Context, job Job) (autodb.Perf, error) {
-	sem := b.v.slots()
 	waitStart := time.Now()
 	select {
-	case sem <- struct{}{}:
+	case b.slots <- struct{}{}:
 	case <-ctx.Done():
 		return autodb.Perf{}, ctx.Err()
+	}
+	// select picks at random when both cases are ready: a cancelled
+	// caller hands the slot straight back instead of starting a run.
+	if err := ctx.Err(); err != nil {
+		<-b.slots
+		return autodb.Perf{}, err
 	}
 	wait := time.Since(waitStart)
 	b.v.Obs.Histogram(MetricQueueWait).Record(wait.Nanoseconds())
 	perf, simDur, err := b.v.simulate(ctx, job.Cfg, job.Src)
-	<-sem
+	<-b.slots
 	b.c.Record(wait, simDur)
 	return perf, err
 }

@@ -62,11 +62,9 @@ func TestBackendStatsDecomposition(t *testing.T) {
 		if st.Backend.Jobs != st.SimRuns {
 			t.Fatalf("local backend Jobs = %d, want SimRuns = %d", st.Backend.Jobs, st.SimRuns)
 		}
-		// The local backend's SimBusy is fed from the same successful-attempt
-		// durations as the validator's aggregate, so they must agree exactly.
-		if st.Backend.SimBusy != st.SimBusy {
-			t.Fatalf("local backend SimBusy = %v, validator SimBusy = %v (decomposition drifted)",
-				st.Backend.SimBusy, st.SimBusy)
+		// The local backend's SimBusy is the one simulator-time figure.
+		if st.Backend.SimBusy <= 0 {
+			t.Fatalf("local backend SimBusy = %v, want > 0", st.Backend.SimBusy)
 		}
 		if st.Backend.QueueWait < 0 {
 			t.Fatalf("negative queue wait: %v", st.Backend.QueueWait)
@@ -116,11 +114,6 @@ func TestBackendStatsDecomposition(t *testing.T) {
 		}
 		if want := time.Duration(len(cfgs)) * stubSimBusy; st.Backend.SimBusy != want {
 			t.Fatalf("Backend.SimBusy = %v, want %v", st.Backend.SimBusy, want)
-		}
-		// And the local-pool aggregate stays zero: remote time is not wall
-		// time spent in this process's simulators.
-		if st.SimBusy != 0 {
-			t.Fatalf("validator SimBusy = %v for a purely remote run, want 0", st.SimBusy)
 		}
 	})
 }

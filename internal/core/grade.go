@@ -51,19 +51,13 @@ const (
 	MetricCacheHits     = "validator_cache_hits_total"
 	MetricCoalesced     = "validator_coalesced_waits_total"
 	MetricRemoteResults = "validator_remote_results_total"
-	// MetricQueueWait is the time a fresh simulation waited for a worker
-	// slot; MetricSimTime is its in-simulator time. Comparing the two
+	// MetricQueueWait is the time a fresh simulation waited for a local
+	// pool slot; MetricSimTime is its in-simulator time. Comparing the two
 	// histograms separates queueing pressure from simulation cost.
 	MetricQueueWait = "validator_queue_wait_ns"
 	MetricSimTime   = "validator_sim_time_ns"
 	MetricDedupWait = "validator_dedup_wait_ns"
 )
-
-// MetricWorkerBusy names the per-worker busy-time counter of the batch
-// pool ("validator_worker_busy_ns{worker=\"N\"}").
-func MetricWorkerBusy(worker int) string {
-	return fmt.Sprintf(`validator_worker_busy_ns{worker="%d"}`, worker)
-}
 
 // Default hyperparameters from the paper's sensitivity studies (§4.6).
 const (
@@ -90,6 +84,10 @@ type inflightSim struct {
 	done chan struct{}
 	perf autodb.Perf
 	err  error
+	// abandoned reports that the run failed because the leader's own
+	// context ended; a waiter whose context is still live must not
+	// inherit that error.
+	abandoned bool
 }
 
 // Validator measures configurations on workloads with the SSD simulator,
@@ -97,12 +95,13 @@ type inflightSim struct {
 // simulated twice within a tuning session — not even when requested
 // concurrently (in-flight simulations are deduplicated, singleflight).
 //
-// Simulations fan out over a bounded worker pool: MeasureBatch runs a
-// whole (candidate × cluster × trace) frontier concurrently, and a
-// validator-wide semaphore bounds the total number of simulations in
-// flight across all callers. Because each ssd.Simulator.Run is fully
-// independent and deterministic, parallel and serial execution fill the
-// cache with bit-identical values.
+// Simulations fan out through one Backend: MeasureBatch hands a whole
+// (candidate × cluster × trace) frontier to it concurrently, and the
+// backend — the in-process pool with Parallel slots, or a worker fleet
+// — bounds the total number of simulations in flight across all
+// callers. Because each ssd.Simulator.Run is fully independent and
+// deterministic, parallel and serial execution fill the cache with
+// bit-identical values.
 type Validator struct {
 	Space *ssdconf.Space
 	// Workloads maps a workload-cluster name to factories for its
@@ -112,14 +111,15 @@ type Validator struct {
 	// workers never share cursor state or hold duplicate request
 	// slices.
 	Workloads map[string][]trace.SourceFactory
-	// Parallel bounds how many simulations may run concurrently across
-	// all measurement calls; 0 (or negative) selects
-	// runtime.GOMAXPROCS(0). Set it before the first measurement.
+	// Parallel is the in-process pool's slot count: how many simulations
+	// may run concurrently across all measurement calls; 0 (or negative)
+	// selects runtime.GOMAXPROCS(0). Set it before the first measurement
+	// or Stats call, which build the pool.
 	Parallel int
 	// Obs, when non-nil, receives detailed metrics (cache hits, dedup
-	// waits, queue wait vs in-sim time, per-worker utilization) and is
-	// propagated to every simulator it runs. It never influences
-	// measurement results. Set it before the first measurement.
+	// waits, queue wait vs in-sim time) and is propagated to every
+	// simulator it runs. It never influences measurement results. Set it
+	// before the first measurement.
 	Obs *obs.Registry
 	// SimTimeout, when positive, bounds each individual simulation: a
 	// run that exceeds it fails with context.DeadlineExceeded (wrapped).
@@ -146,20 +146,13 @@ type Validator struct {
 	mu       sync.Mutex
 	cache    map[simKey]autodb.Perf
 	inflight map[simKey]*inflightSim
-	sem      chan struct{} // validator-wide simulation slots (lazy)
 	local    *localBackend // default backend (lazy)
 	sigCache string        // memoized Space.Signature() (lazy)
 
 	simRuns   atomic.Int64
-	simWall   atomic.Int64 // aggregate per-worker in-simulator ns
 	cacheHits atomic.Int64
 	coalesced atomic.Int64
 	remote    atomic.Int64 // results measured by a remote Backend
-	// firstStartNS/lastEndNS bracket the real wall-clock span covered by
-	// simulations (unix ns): lastEnd-firstStart is elapsed time, not the
-	// per-worker sum simWall accumulates.
-	firstStartNS atomic.Int64
-	lastEndNS    atomic.Int64
 }
 
 // NewValidator builds a validator over one representative trace per
@@ -212,69 +205,20 @@ type ValidatorStats struct {
 	// SimRuns + CacheHits + CoalescedWaits + RemoteResults == calls.
 	RemoteResults int64
 	// Backend is the executing backend's own decomposition of where
-	// jobs spent their time (queue wait vs execution), so remote
-	// queueing delay is reported separately from local busy time.
+	// jobs spent their time (queue wait vs execution). Its SimBusy is
+	// the one simulator-time figure: summed over concurrent runs, so it
+	// exceeds elapsed time under parallel validation.
 	Backend BackendStats
-	// SimBusy is the aggregate in-simulator time summed over workers;
-	// under parallel validation it exceeds WallSpan by up to the worker
-	// count.
-	SimBusy time.Duration
-	// WallSpan is the real elapsed span from the first simulation's start
-	// to the last simulation's end (0 until a simulation ran). It still
-	// includes any non-simulation time between batches, so it upper-bounds
-	// rather than equals total simulation wall time.
-	WallSpan time.Duration
-}
-
-// Utilization returns SimBusy / (workers × WallSpan): the mean fraction
-// of the worker pool kept busy over the simulated span.
-func (s ValidatorStats) Utilization(workers int) float64 {
-	if workers <= 0 || s.WallSpan <= 0 {
-		return 0
-	}
-	return float64(s.SimBusy) / (float64(workers) * float64(s.WallSpan))
 }
 
 // Stats snapshots the validator counters.
 func (v *Validator) Stats() ValidatorStats {
-	st := ValidatorStats{
+	return ValidatorStats{
 		SimRuns:        v.simRuns.Load(),
 		CacheHits:      v.cacheHits.Load(),
 		CoalescedWaits: v.coalesced.Load(),
 		RemoteResults:  v.remote.Load(),
-		SimBusy:        time.Duration(v.simWall.Load()),
-	}
-	be, _ := v.backend()
-	st.Backend = be.Stats()
-	if first := v.firstStartNS.Load(); first != 0 {
-		if last := v.lastEndNS.Load(); last > first {
-			st.WallSpan = time.Duration(last - first)
-		}
-	}
-	return st
-}
-
-// markSimSpan folds one simulation's [start, end] into the wall-span
-// bracket.
-func (v *Validator) markSimSpan(start, end time.Time) {
-	s, e := start.UnixNano(), end.UnixNano()
-	for {
-		cur := v.firstStartNS.Load()
-		if cur != 0 && cur <= s {
-			break
-		}
-		if v.firstStartNS.CompareAndSwap(cur, s) {
-			break
-		}
-	}
-	for {
-		cur := v.lastEndNS.Load()
-		if cur >= e {
-			break
-		}
-		if v.lastEndNS.CompareAndSwap(cur, e) {
-			break
-		}
+		Backend:        v.backend().Stats(),
 	}
 }
 
@@ -286,32 +230,18 @@ func (v *Validator) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// slots returns the validator-wide simulation semaphore, sized on first
-// use from the Parallel bound.
-func (v *Validator) slots() chan struct{} {
-	v.mu.Lock()
-	if v.sem == nil {
-		v.sem = make(chan struct{}, v.workers())
-	}
-	s := v.sem
-	v.mu.Unlock()
-	return s
-}
-
-// backend resolves the executing backend, materializing the in-process
-// pool on first use when none is configured. remote reports whether the
-// backend came from the Backend field.
-func (v *Validator) backend() (be Backend, remote bool) {
+// backend resolves the executing backend, building the in-process pool
+// with workers() slots on first use when none is configured.
+func (v *Validator) backend() Backend {
 	if b := v.Backend; b != nil {
-		return b, true
+		return b
 	}
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.local == nil {
-		v.local = &localBackend{v: v}
+		v.local = &localBackend{v: v, slots: make(chan struct{}, v.workers())}
 	}
-	b := v.local
-	v.mu.Unlock()
-	return b, false
+	return v.local
 }
 
 // MeasureTrace runs one configuration against one trace, drawing a
@@ -321,27 +251,36 @@ func (v *Validator) backend() (be Backend, remote bool) {
 // key re-simulates.
 func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name string, f trace.SourceFactory) (autodb.Perf, error) {
 	key := cacheKey(cfg.Key(), name)
-	v.mu.Lock()
-	if p, ok := v.cache[key]; ok {
-		v.mu.Unlock()
-		v.cacheHits.Add(1)
-		v.Obs.Counter(MetricCacheHits).Inc()
-		return p, nil
-	}
-	if fl, ok := v.inflight[key]; ok {
+	for {
+		v.mu.Lock()
+		if p, ok := v.cache[key]; ok {
+			v.mu.Unlock()
+			v.cacheHits.Add(1)
+			v.Obs.Counter(MetricCacheHits).Inc()
+			return p, nil
+		}
+		fl, ok := v.inflight[key]
+		if !ok {
+			break // lead the run below, still holding v.mu
+		}
 		// Another goroutine is already simulating this key: wait for it
 		// rather than duplicating the run. A cancelled waiter abandons
 		// the wait; the leader's simulation still completes and fills
 		// the cache.
 		v.mu.Unlock()
-		v.coalesced.Add(1)
-		v.Obs.Counter(MetricCoalesced).Inc()
 		t0 := time.Now()
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
+			v.countCoalesced()
 			return autodb.Perf{}, ctx.Err()
 		}
+		if fl.abandoned && ctx.Err() == nil {
+			// The leader's own context ended its run, not the key's
+			// measurement: look again, uncounted, as a live caller.
+			continue
+		}
+		v.countCoalesced()
 		if r := v.Obs; r != nil {
 			r.Histogram(MetricDedupWait).Record(time.Since(t0).Nanoseconds())
 		}
@@ -368,12 +307,14 @@ func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name s
 		}
 	}
 
-	be, remote := v.backend()
-	fl.perf, fl.err = be.Measure(ctx, Job{Cfg: cfg, Name: name, Src: f})
-	if remote && fl.err == nil {
+	fl.perf, fl.err = v.backend().Measure(ctx, Job{Cfg: cfg, Name: name, Src: f})
+	if v.Backend != nil && fl.err == nil {
 		v.remote.Add(1)
 		v.Obs.Counter(MetricRemoteResults).Inc()
 	}
+	// A SimTimeout deadline lives on a derived context, so only the
+	// caller's own cancellation marks the run abandoned.
+	fl.abandoned = fl.err != nil && ctx.Err() != nil
 
 	v.mu.Lock()
 	if fl.err == nil {
@@ -388,6 +329,12 @@ func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name s
 	return fl.perf, fl.err
 }
 
+// countCoalesced records one call resolved by another goroutine's run.
+func (v *Validator) countCoalesced() {
+	v.coalesced.Add(1)
+	v.Obs.Counter(MetricCoalesced).Inc()
+}
+
 // persistSig lazily computes and caches the space signature that scopes
 // every persistent-cache key.
 func (v *Validator) persistSig() string {
@@ -399,7 +346,7 @@ func (v *Validator) persistSig() string {
 	return v.sigCache
 }
 
-// simulate runs one simulation inside a worker slot, retrying
+// simulate runs one simulation inside a local pool slot, retrying
 // ErrTransient failures with exponential backoff (50ms, doubling) up to
 // MaxRetries. Deterministic failures — bad parameters, fault-driven
 // ErrOutOfSpace, per-simulation timeouts, panics — return on the first
@@ -428,10 +375,10 @@ func (v *Validator) simulate(ctx context.Context, cfg ssdconf.Config, f trace.So
 }
 
 // simulateOnce is the uncached single-simulation path. The factory is
-// invoked here, inside the worker slot, so each concurrent simulation
+// invoked here, inside the pool slot, so each concurrent simulation
 // owns a private cursor. A panic anywhere below — the source, the FTL,
-// the codec — surfaces as a *PanicError instead of crashing the worker
-// pool, and SimTimeout (when set) bounds the attempt.
+// the codec — surfaces as a *PanicError instead of crashing the
+// process, and SimTimeout (when set) bounds the attempt.
 func (v *Validator) simulateOnce(ctx context.Context, cfg ssdconf.Config, f trace.SourceFactory) (perf autodb.Perf, simDur time.Duration, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -457,8 +404,6 @@ func (v *Validator) simulateOnce(ctx context.Context, cfg ssdconf.Config, f trac
 	}
 	t1 := time.Now()
 	v.simRuns.Add(1)
-	v.simWall.Add(t1.Sub(t0).Nanoseconds())
-	v.markSimSpan(t0, t1)
 	v.Obs.Counter(MetricSimRuns).Inc()
 	v.Obs.Histogram(MetricSimTime).Record(t1.Sub(t0).Nanoseconds())
 	return autodb.Perf{
@@ -513,12 +458,11 @@ func (v *Validator) RestoreCache(entries []CachedPerf) {
 }
 
 // MeasureBatch measures every (configuration × cluster × trace)
-// combination, fanning the simulations out over the validator's worker
-// bound. It warms the cache; callers read results back through
-// MeasureTrace / MeasureCluster, which then hit. Overlapping keys —
-// within the batch or against other concurrent callers — trigger
-// exactly one simulation each, so SimRuns grows by exactly the number
-// of distinct cold keys.
+// combination, fanning the simulations out through the backend. It
+// warms the cache; callers read results back through MeasureTrace /
+// MeasureCluster, which then hit. Overlapping keys — within the batch
+// or against other concurrent callers — trigger exactly one simulation
+// each, so SimRuns grows by exactly the number of distinct cold keys.
 func (v *Validator) MeasureBatch(ctx context.Context, cfgs []ssdconf.Config, clusters []string) error {
 	var jobs []Job
 	for _, cl := range clusters {
@@ -545,73 +489,38 @@ func (v *Validator) MeasureConfigs(ctx context.Context, cfgs []ssdconf.Config, n
 	return v.measureJobs(ctx, jobs)
 }
 
-// measureJobs drains the job list through a bounded worker pool. The
-// first error wins; remaining queued jobs are skipped. Cancelling ctx
-// drains the queue without starting new simulations.
+// maxInflight caps the goroutines one batch keeps waiting on the
+// backend at once. The backend bounds how many of them simulate; the
+// cap only keeps a huge batch from parking a goroutine per job, while
+// still keeping a fleet coordinator's queue full.
+const maxInflight = 256
+
+// measureJobs hands every job to the backend, at most maxInflight at a
+// time. The first error cancels the batch and wins: jobs still waiting
+// for a slot start nothing. Cancelling ctx returns ctx.Err().
 func (v *Validator) measureJobs(ctx context.Context, jobs []Job) error {
-	n := v.workers()
-	if v.Backend != nil {
-		// A remote fleet bounds concurrency on the workers' side; the
-		// local goroutines only wait on leases, so fan every job out at
-		// once (capped) to keep the coordinator's queue full.
-		n = len(jobs)
-		if n > 256 {
-			n = 256
-		}
-	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
-		for _, j := range jobs {
-			if _, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		failed   atomic.Bool
-	)
-	ch := make(chan Job)
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker busy time: utilization = busy / batch span.
-			var busy *obs.Counter
-			if r := v.Obs; r != nil {
-				busy = r.Counter(MetricWorkerBusy(w))
-			}
-			for j := range ch {
-				if failed.Load() || ctx.Err() != nil {
-					continue
-				}
-				t0 := time.Now()
-				if _, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-				}
-				if busy != nil {
-					busy.Add(time.Since(t0).Nanoseconds())
-				}
-			}
-		}(w)
-	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var wg sync.WaitGroup
+	gate := make(chan struct{}, maxInflight)
 	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case gate <- struct{}{}:
+		case <-ctx.Done():
 		}
+		if ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-gate; wg.Done() }()
+			if _, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src); err != nil {
+				cancel(err)
+			}
+		}()
 	}
-	return firstErr
+	wg.Wait()
+	return context.Cause(ctx)
 }
 
 // traceName is the canonical cache name of a cluster's i-th trace.

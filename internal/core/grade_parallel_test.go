@@ -169,8 +169,8 @@ func TestSingleflightStress(t *testing.T) {
 		t.Fatalf("fresh(%d) + cacheHits(%d) + coalesced(%d) = %d, want %d total MeasureTrace calls",
 			st.SimRuns, st.CacheHits, st.CoalescedWaits, got, totalCalls)
 	}
-	if st.SimBusy <= 0 || st.WallSpan <= 0 {
-		t.Fatalf("Stats() timing not recorded: SimBusy=%v WallSpan=%v", st.SimBusy, st.WallSpan)
+	if st.Backend.SimBusy <= 0 {
+		t.Fatalf("Stats() timing not recorded: Backend.SimBusy=%v", st.Backend.SimBusy)
 	}
 }
 

@@ -330,3 +330,123 @@ func TestFaultedRunReproducibleAcrossParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestWaiterOutlivesCancelledLeader: a singleflight waiter shares the
+// leader's result, but not an error that only the leader's own
+// cancelled context caused. A live waiter looks again and measures the
+// key itself, counted once as what that resolves to. A SimTimeout
+// deadline belongs to the key's measurement and is still shared.
+func TestWaiterOutlivesCancelledLeader(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		timeout    time.Duration
+		wantErr    error // the waiter's error
+		wantCalls  int32 // factory invocations
+		wantRuns   int64
+		wantJoined int64 // CoalescedWaits
+	}{
+		{name: "leader-cancelled", wantCalls: 2, wantRuns: 1},
+		{name: "sim-timeout", timeout: 20 * time.Millisecond,
+			wantErr: context.DeadlineExceeded, wantCalls: 1, wantJoined: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, ref, tr := resilienceEnv(t)
+			v.SimTimeout = tc.timeout
+			started, release := make(chan struct{}), make(chan struct{})
+			var calls atomic.Int32
+			// The leader's factory call blocks inside its run, after any
+			// SimTimeout deadline has started, until the test releases it.
+			factory := func() trace.Source {
+				if calls.Add(1) == 1 {
+					close(started)
+					<-release
+				}
+				return tr.Source()
+			}
+			measure := func(ctx context.Context) <-chan error {
+				done := make(chan error, 1)
+				go func() {
+					_, err := v.MeasureTrace(ctx, ref, "Database#0", factory)
+					done <- err
+				}()
+				return done
+			}
+
+			leaderCtx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			leader := measure(leaderCtx)
+			<-started
+			waiter := measure(context.Background())
+			time.Sleep(50 * time.Millisecond) // let the waiter join the run
+			if tc.timeout == 0 {
+				cancel()
+			}
+			close(release)
+
+			if err := <-leader; err == nil {
+				t.Fatal("leader's run succeeded, want its cancellation or deadline")
+			}
+			err := <-waiter
+			if tc.wantErr == nil && err != nil {
+				t.Fatalf("live waiter inherited the leader's error: %v", err)
+			}
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("waiter err = %v, want %v", err, tc.wantErr)
+			}
+			if got := calls.Load(); got != tc.wantCalls {
+				t.Fatalf("factory invoked %d times, want %d", got, tc.wantCalls)
+			}
+			st := v.Stats()
+			if st.SimRuns != tc.wantRuns || st.CoalescedWaits != tc.wantJoined || st.CacheHits != 0 {
+				t.Fatalf("SimRuns=%d CoalescedWaits=%d CacheHits=%d, want %d/%d/0",
+					st.SimRuns, st.CoalescedWaits, st.CacheHits, tc.wantRuns, tc.wantJoined)
+			}
+		})
+	}
+}
+
+// TestBatchCancelContract pins how a failing batch stops: the first
+// error cancels it and is returned, nothing failed is counted or cached,
+// and jobs still queued for a slot start nothing. A slot freed just
+// before the cancel lands may let one queued job per slot start, so the
+// factory runs at most twice per slot.
+func TestBatchCancelContract(t *testing.T) {
+	injected := errors.New("injected source failure")
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel-%d", parallel), func(t *testing.T) {
+			v, ref, tr := resilienceEnv(t)
+			v.Parallel = parallel
+			var calls atomic.Int32
+			factory := func() trace.Source {
+				calls.Add(1)
+				return &failingSource{Source: tr.Source(), after: 1000, err: injected}
+			}
+			jobs := make([]Job, 16)
+			for i := range jobs {
+				jobs[i] = Job{Cfg: ref, Name: traceName("Database", i), Src: factory}
+			}
+			if err := v.measureJobs(context.Background(), jobs); !errors.Is(err, injected) {
+				t.Fatalf("err = %v, want the injected failure", err)
+			}
+			if got := v.Stats().SimRuns; got != 0 {
+				t.Fatalf("SimRuns = %d, want 0 (every job failed)", got)
+			}
+			if snap := v.SnapshotCache(); len(snap) != 0 {
+				t.Fatalf("failed measurements landed in the cache: %+v", snap)
+			}
+			if got := calls.Load(); got < 1 || got > int32(2*parallel) {
+				t.Fatalf("factory invoked %d times, want 1..%d", got, 2*parallel)
+			}
+
+			calls.Store(0)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := v.measureJobs(ctx, jobs); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled batch: err = %v, want context.Canceled", err)
+			}
+			if got := calls.Load(); got != 0 {
+				t.Fatalf("pre-cancelled batch invoked the factory %d times, want 0", got)
+			}
+		})
+	}
+}

@@ -352,51 +352,38 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 			// crowding distance so the extremes go first — because a
 			// single random root starves minority trade-off regions (a
 			// durable-but-slower lineage never picks up the wear-neutral
-			// performance knobs the grade-leading lineage found).
-			advanced := false
+			// performance knobs the grade-leading lineage found). DESIGN.md
+			// says why scalar mode is not single-axis Pareto.
+			var roots []int
 			if t.pareto() {
-				roots := frontIndices(t.Space.Objectives, validated)
+				roots = frontIndices(t.Space.Objectives, validated)
 				if len(roots) > t.Opts.TopK {
 					roots = roots[:t.Opts.TopK]
 				}
-				for _, rootIdx := range roots {
-					// The surrogate targets are recomputed per root: each
-					// validation extends the set the GPR fits on.
-					ys := t.searchScores(validated, iter)
-					cand := t.sgdSearch(validated[rootIdx], ys[rootIdx], ys, validated, seen, iter)
-					if cand == nil {
-						continue
-					}
-					worst := worstRetainedGrade(validated, t.Opts.TopK)
-					e, rejected, err := t.evaluate(ctx, target, cand, worst, res)
-					if err != nil {
-						return true, err
-					}
-					seen[cand.Key()] = true
-					if !rejected {
-						validated = append(validated, e)
-					}
-					advanced = true
-				}
-				sp.ArgInt("roots", int64(len(roots)))
 			} else {
-				rootIdx := t.pickRoot(validated)
-				root := validated[rootIdx]
+				roots = []int{t.pickRoot(validated)}
+			}
+			sp.ArgInt("roots", int64(len(roots)))
+			advanced := false
+			for _, rootIdx := range roots {
+				// The surrogate targets are recomputed per root: each
+				// validation extends the set the GPR fits on.
 				ys := t.searchScores(validated, iter)
-				cand := t.sgdSearch(root, ys[rootIdx], ys, validated, seen, iter)
-				if cand != nil {
-					sp.Arg("config", cand.Key())
-					worst := worstRetainedGrade(validated, t.Opts.TopK)
-					e, rejected, err := t.evaluate(ctx, target, cand, worst, res)
-					if err != nil {
-						return true, err
-					}
-					seen[cand.Key()] = true
-					if !rejected {
-						validated = append(validated, e)
-					}
-					advanced = true
+				cand := t.sgdSearch(validated[rootIdx], ys[rootIdx], ys, validated, seen, iter)
+				if cand == nil {
+					continue
 				}
+				sp.Arg("config", cand.Key())
+				worst := worstRetainedGrade(validated, t.Opts.TopK)
+				e, rejected, err := t.evaluate(ctx, target, cand, worst, res)
+				if err != nil {
+					return true, err
+				}
+				seen[cand.Key()] = true
+				if !rejected {
+					validated = append(validated, e)
+				}
+				advanced = true
 			}
 			if !advanced {
 				noProgress++
@@ -657,10 +644,6 @@ func (t *Tuner) overPowerBudget(perfs []autodb.Perf) bool {
 	return false
 }
 
-// pickRoot selects a random search root and returns its index into the
-// validated set: among the top-K grades in scalar mode, among the up-to-K
-// least-crowded members of the non-dominated front in Pareto mode. Both
-// modes spend exactly one RNG draw, keeping the shared stream aligned.
 // pickRoot selects the scalar-mode search root: a random member of the
 // top-K grades. Pareto mode does not use it — every front lineage is
 // advanced per iteration instead (see the iteration body).

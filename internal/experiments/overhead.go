@@ -90,11 +90,11 @@ func RunTable6(e *Env) (*OverheadResult, error) {
 		return nil, err
 	}
 	// A dedicated validator so cached results don't hide validation cost.
-	// Serial workers: Stats().SimBusy sums per-worker simulation time
-	// (NOT elapsed wall-clock — under parallelism the sum exceeds the
-	// real span, Stats().WallSpan, and the learning-time subtraction
-	// below would go negative). Pinning Parallel=1 makes SimBusy and
-	// WallSpan coincide so "total - SimBusy" is a valid learning cost.
+	// One slot: Stats().Backend.SimBusy sums simulator time over
+	// concurrent runs (NOT elapsed wall-clock — under parallelism the
+	// sum exceeds elapsed time and the learning-time subtraction below
+	// would go negative). Pinning Parallel=1 runs one simulation at a
+	// time, so "total - SimBusy" is a valid learning cost.
 	fresh := core.NewValidatorSources(e.Space, e.sourceGroups())
 	fresh.Parallel = 1
 	grader, err := core.NewGrader(e.ctx(), fresh, e.RefCfg, core.DefaultAlpha, core.DefaultBeta)
@@ -114,10 +114,10 @@ func RunTable6(e *Env) (*OverheadResult, error) {
 
 	// Efficiency validation is the simulator time per search iteration;
 	// learning is everything else (GPR fits, SGD walks, bookkeeping).
-	simWall := fresh.Stats().SimBusy
+	simBusy := fresh.Stats().Backend.SimBusy
 	if res.Iterations > 0 {
-		out.EfficiencyValidation = simWall / time.Duration(res.Iterations)
-		learning := total - simWall
+		out.EfficiencyValidation = simBusy / time.Duration(res.Iterations)
+		learning := total - simBusy
 		if learning < 0 {
 			learning = 0
 		}
