@@ -49,7 +49,7 @@ func TestBackendStatsDecomposition(t *testing.T) {
 		v := NewValidator(space, ws)
 		v.Parallel = 2
 		cfgs := distinctConfigs(t, space, ref, 3)
-		if err := v.MeasureBatch(ctx, cfgs, v.Clusters()); err != nil {
+		if _, err := v.MeasureBatch(ctx, cfgs, v.Clusters()); err != nil {
 			t.Fatal(err)
 		}
 		st := v.Stats()

@@ -165,19 +165,6 @@ func NewValidator(space *ssdconf.Space, workloads map[string]*trace.Trace) *Vali
 	return NewValidatorSources(space, m)
 }
 
-// NewValidatorGroups builds a validator with multiple traces per cluster.
-func NewValidatorGroups(space *ssdconf.Space, groups map[string][]*trace.Trace) *Validator {
-	m := make(map[string][]trace.SourceFactory, len(groups))
-	for k, traces := range groups {
-		fs := make([]trace.SourceFactory, len(traces))
-		for i, tr := range traces {
-			fs[i] = tr.Factory()
-		}
-		m[k] = fs
-	}
-	return NewValidatorSources(space, m)
-}
-
 // NewValidatorSources builds a validator directly over streaming source
 // factories — the constant-memory path: no representative trace is ever
 // materialized, each simulation re-derives its request stream.
@@ -458,17 +445,17 @@ func (v *Validator) RestoreCache(entries []CachedPerf) {
 }
 
 // MeasureBatch measures every (configuration × cluster × trace)
-// combination, fanning the simulations out through the backend. It
-// warms the cache; callers read results back through MeasureTrace /
-// MeasureCluster, which then hit. Overlapping keys — within the batch
-// or against other concurrent callers — trigger exactly one simulation
+// combination, fanning the simulations out through the backend, and
+// returns the results: out[i][cl] holds cfgs[i]'s per-trace results in
+// the cluster's trace order. Overlapping keys — within the batch or
+// against other concurrent callers — trigger exactly one simulation
 // each, so SimRuns grows by exactly the number of distinct cold keys.
-func (v *Validator) MeasureBatch(ctx context.Context, cfgs []ssdconf.Config, clusters []string) error {
+func (v *Validator) MeasureBatch(ctx context.Context, cfgs []ssdconf.Config, clusters []string) ([]map[string][]autodb.Perf, error) {
 	var jobs []Job
 	for _, cl := range clusters {
 		factories, ok := v.Workloads[cl]
 		if !ok || len(factories) == 0 {
-			return fmt.Errorf("core: unknown workload cluster %q", cl)
+			return nil, fmt.Errorf("core: unknown workload cluster %q", cl)
 		}
 		for _, cfg := range cfgs {
 			for i, f := range factories {
@@ -476,12 +463,27 @@ func (v *Validator) MeasureBatch(ctx context.Context, cfgs []ssdconf.Config, clu
 			}
 		}
 	}
-	return v.measureJobs(ctx, jobs)
+	perfs, err := v.measureJobs(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[string][]autodb.Perf, len(cfgs))
+	for i := range out {
+		out[i] = make(map[string][]autodb.Perf, len(clusters))
+	}
+	for _, cl := range clusters {
+		n := len(v.Workloads[cl])
+		for i := range cfgs {
+			out[i][cl], perfs = perfs[:n:n], perfs[n:]
+		}
+	}
+	return out, nil
 }
 
 // MeasureConfigs measures many configurations against one explicit
-// trace — the batch entry point for the §3.3 pruning sweeps.
-func (v *Validator) MeasureConfigs(ctx context.Context, cfgs []ssdconf.Config, name string, f trace.SourceFactory) error {
+// trace — the batch entry point for the §3.3 pruning sweeps — and
+// returns the results in cfgs order.
+func (v *Validator) MeasureConfigs(ctx context.Context, cfgs []ssdconf.Config, name string, f trace.SourceFactory) ([]autodb.Perf, error) {
 	jobs := make([]Job, len(cfgs))
 	for i, cfg := range cfgs {
 		jobs[i] = Job{Cfg: cfg, Name: name, Src: f}
@@ -496,14 +498,16 @@ func (v *Validator) MeasureConfigs(ctx context.Context, cfgs []ssdconf.Config, n
 const maxInflight = 256
 
 // measureJobs hands every job to the backend, at most maxInflight at a
-// time. The first error cancels the batch and wins: jobs still waiting
-// for a slot start nothing. Cancelling ctx returns ctx.Err().
-func (v *Validator) measureJobs(ctx context.Context, jobs []Job) error {
+// time, and returns the results in job order. The first error cancels
+// the batch and wins: jobs still waiting for a slot start nothing.
+// Cancelling ctx returns ctx.Err().
+func (v *Validator) measureJobs(ctx context.Context, jobs []Job) ([]autodb.Perf, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
+	out := make([]autodb.Perf, len(jobs))
 	var wg sync.WaitGroup
 	gate := make(chan struct{}, maxInflight)
-	for _, j := range jobs {
+	for i, j := range jobs {
 		select {
 		case gate <- struct{}{}:
 		case <-ctx.Done():
@@ -514,35 +518,22 @@ func (v *Validator) measureJobs(ctx context.Context, jobs []Job) error {
 		wg.Add(1)
 		go func() {
 			defer func() { <-gate; wg.Done() }()
-			if _, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src); err != nil {
+			p, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src)
+			if err != nil {
 				cancel(err)
 			}
+			out[i] = p
 		}()
 	}
 	wg.Wait()
-	return context.Cause(ctx)
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // traceName is the canonical cache name of a cluster's i-th trace.
 func traceName(cluster string, i int) string { return fmt.Sprintf("%s#%d", cluster, i) }
-
-// MeasureCluster runs cfg on every trace of a cluster and returns the
-// per-trace results keyed "<cluster>#<i>".
-func (v *Validator) MeasureCluster(ctx context.Context, cfg ssdconf.Config, cluster string) ([]autodb.Perf, error) {
-	factories, ok := v.Workloads[cluster]
-	if !ok || len(factories) == 0 {
-		return nil, fmt.Errorf("core: unknown workload cluster %q", cluster)
-	}
-	out := make([]autodb.Perf, len(factories))
-	for i, f := range factories {
-		p, err := v.MeasureTrace(ctx, cfg, traceName(cluster, i), f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}
 
 // Clusters returns the cluster names in sorted-stable order.
 func (v *Validator) Clusters() []string {
@@ -550,7 +541,7 @@ func (v *Validator) Clusters() []string {
 	for k := range v.Workloads {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -562,16 +553,8 @@ func (v *Validator) NonTargetClusters(target string) []string {
 			out = append(out, k)
 		}
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Grader evaluates Formulas 1 and 2.
@@ -586,20 +569,15 @@ type Grader struct {
 // NewGrader measures the reference configuration on every cluster, as
 // one parallel batch.
 func NewGrader(ctx context.Context, v *Validator, refCfg ssdconf.Config, alpha, beta float64) (*Grader, error) {
-	g := &Grader{Alpha: alpha, Beta: beta, Ref: make(map[string][]autodb.Perf)}
+	g := &Grader{Alpha: alpha, Beta: beta}
 	clusters := v.Clusters()
 	sp := obs.StartSpan("reference").ArgInt("clusters", int64(len(clusters)))
 	defer sp.End()
-	if err := v.MeasureBatch(ctx, []ssdconf.Config{refCfg}, clusters); err != nil {
+	out, err := v.MeasureBatch(ctx, []ssdconf.Config{refCfg}, clusters)
+	if err != nil {
 		return nil, err
 	}
-	for _, cl := range clusters {
-		ps, err := v.MeasureCluster(ctx, refCfg, cl)
-		if err != nil {
-			return nil, err
-		}
-		g.Ref[cl] = ps
-	}
+	g.Ref = out[0]
 	return g, nil
 }
 

@@ -64,8 +64,9 @@ func distinctConfigs(t *testing.T, space *ssdconf.Space, ref ssdconf.Config, n i
 	return out
 }
 
-// TestMeasureBatchMatchesSerial: the parallel batch path must fill the
-// cache with measurements identical to the serial MeasureTrace path.
+// TestMeasureBatchMatchesSerial: the parallel batch path must return
+// measurements identical to the serial MeasureTrace path, one map per
+// configuration and one result per trace.
 func TestMeasureBatchMatchesSerial(t *testing.T) {
 	space := ssdconf.NewSpace(ssdconf.DefaultConstraints())
 	ws := map[string]*trace.Trace{
@@ -80,29 +81,62 @@ func TestMeasureBatchMatchesSerial(t *testing.T) {
 	par := NewValidator(space, ws)
 	par.Parallel = 8
 
-	if err := par.MeasureBatch(context.Background(), cfgs, par.Clusters()); err != nil {
+	out, err := par.MeasureBatch(context.Background(), cfgs, par.Clusters())
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range cfgs {
+	if len(out) != len(cfgs) {
+		t.Fatalf("MeasureBatch returned %d maps, want one per config (%d)", len(out), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		if len(out[i]) != len(ws) {
+			t.Fatalf("config %d: %d clusters returned, want %d", i, len(out[i]), len(ws))
+		}
 		for _, cl := range serial.Clusters() {
-			name := cl + "#0"
-			a, err := serial.MeasureTrace(context.Background(), cfg, name, ws[cl].Factory())
-			if err != nil {
-				t.Fatal(err)
+			factories := serial.Workloads[cl]
+			if len(out[i][cl]) != len(factories) {
+				t.Fatalf("config %d/%s: %d results, want one per trace (%d)", i, cl, len(out[i][cl]), len(factories))
 			}
-			b, err := par.MeasureTrace(context.Background(), cfg, name, ws[cl].Factory()) // cache hit
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
-				t.Fatalf("parallel result differs for %s/%s:\n serial   %+v\n parallel %+v",
-					cfg.Key(), name, a, b)
+			for k, f := range factories {
+				name := traceName(cl, k)
+				a, err := serial.MeasureTrace(context.Background(), cfg, name, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b := out[i][cl][k]; a != b {
+					t.Fatalf("parallel result differs for %s/%s:\n serial   %+v\n parallel %+v",
+						cfg.Key(), name, a, b)
+				}
 			}
 		}
 	}
 	want := int64(len(cfgs) * len(ws))
 	if got := par.Stats().SimRuns; got != want {
 		t.Fatalf("parallel SimRuns = %d, want %d", got, want)
+	}
+	if got := par.Stats().CacheHits; got != 0 {
+		t.Fatalf("parallel CacheHits = %d, want 0 (every key was cold)", got)
+	}
+}
+
+// TestMeasureBatchCountsOnce: a batch returns what it measured, so no
+// caller reads its own results back through the cache. NewGrader's
+// reference pass costs one sim per cluster and no hits, and a FinePrune
+// adds one sim per sample and exactly one hit — its base lookup, which
+// the reference pass already measured.
+func TestMeasureBatchCountsOnce(t *testing.T) {
+	_, v, g, ref := smallTunerEnv(t)
+	st := v.Stats()
+	if st.SimRuns != 3 || st.CacheHits != 0 {
+		t.Fatalf("after NewGrader: SimRuns %d CacheHits %d, want 3 and 0", st.SimRuns, st.CacheHits)
+	}
+	const samples = 16
+	if _, err := FinePrune(context.Background(), v, g, string(workload.Database), ref, nil, PruneOptions{Samples: samples}); err != nil {
+		t.Fatal(err)
+	}
+	st = v.Stats()
+	if st.SimRuns != 3+samples || st.CacheHits != 1 {
+		t.Fatalf("after FinePrune: SimRuns %d CacheHits %d, want %d and 1", st.SimRuns, st.CacheHits, 3+samples)
 	}
 }
 
@@ -130,7 +164,7 @@ func TestSingleflightStress(t *testing.T) {
 			defer wg.Done()
 			if g%2 == 0 {
 				// Half the goroutines batch everything at once...
-				if err := v.MeasureBatch(context.Background(), cfgs, clusters); err != nil {
+				if _, err := v.MeasureBatch(context.Background(), cfgs, clusters); err != nil {
 					errs <- err
 				}
 				return

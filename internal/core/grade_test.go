@@ -82,24 +82,27 @@ func TestSpeedups(t *testing.T) {
 func TestValidatorCaching(t *testing.T) {
 	_, v, _, ref := testEnv(t, []workload.Category{workload.Database}, 2500)
 	runs := v.Stats().SimRuns
-	if _, err := v.MeasureCluster(context.Background(), ref, string(workload.Database)); err != nil {
+	if _, err := v.MeasureBatch(context.Background(), []ssdconf.Config{ref}, []string{string(workload.Database)}); err != nil {
 		t.Fatal(err)
 	}
 	if v.Stats().SimRuns != runs {
 		t.Fatal("reference measurement should be cached by NewGrader")
 	}
-	if _, err := v.MeasureCluster(context.Background(), ref, "nope"); err == nil {
+	if _, err := v.MeasureBatch(context.Background(), []ssdconf.Config{ref}, []string{"nope"}); err == nil {
 		t.Fatal("unknown cluster should error")
+	}
+	if _, err := v.MeasureBatch(context.Background(), nil, []string{"nope"}); err == nil {
+		t.Fatal("unknown cluster should error even with no configurations")
 	}
 }
 
 func TestGraderReferenceIsZero(t *testing.T) {
 	_, v, g, ref := testEnv(t, []workload.Category{workload.Database, workload.WebSearch}, 2500)
-	for _, cl := range v.Clusters() {
-		ps, err := v.MeasureCluster(context.Background(), ref, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
+	out, err := v.MeasureBatch(context.Background(), []ssdconf.Config{ref}, v.Clusters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cl, ps := range out[0] {
 		if p := g.ClusterPerformance(cl, ps); p != 0 {
 			t.Fatalf("reference performance on %s = %g, want 0", cl, p)
 		}
@@ -124,10 +127,13 @@ func TestValidatorGroups(t *testing.T) {
 	space := ssdconf.NewSpace(ssdconf.DefaultConstraints())
 	a := workload.MustGenerate(workload.Database, workload.Options{Requests: 2000, Seed: 1})
 	b := workload.MustGenerate(workload.Database, workload.Options{Requests: 2000, Seed: 2})
-	v := NewValidatorGroups(space, map[string][]*trace.Trace{"Database": {a, b}})
+	v := NewValidatorSources(space, map[string][]trace.SourceFactory{"Database": {a.Factory(), b.Factory()}})
 	ref := space.FromDevice(ssd.Intel750())
-	ps, err := v.MeasureCluster(context.Background(), ref, "Database")
-	if err != nil || len(ps) != 2 {
-		t.Fatalf("MeasureCluster: %d %v", len(ps), err)
+	out, err := v.MeasureBatch(context.Background(), []ssdconf.Config{ref}, []string{"Database"})
+	if err != nil || len(out[0]["Database"]) != 2 {
+		t.Fatalf("MeasureBatch: %v %v", out, err)
+	}
+	if out[0]["Database"][0] == out[0]["Database"][1] {
+		t.Fatal("two distinct traces measured identically")
 	}
 }

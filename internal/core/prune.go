@@ -128,7 +128,7 @@ func CoarsePrune(ctx context.Context, v *Validator, g *Grader, target string, ba
 
 	// Enumerate the whole config×value sweep up front and fan the
 	// simulations out as one parallel batch; the assembly loop below
-	// then reads every point from the cache.
+	// walks the same enumeration and takes the results in order.
 	var sweepCfgs []ssdconf.Config
 	for i := range v.Space.Params {
 		p := &v.Space.Params[i]
@@ -141,7 +141,8 @@ func CoarsePrune(ctx context.Context, v *Validator, g *Grader, target string, ba
 			sweepCfgs = append(sweepCfgs, cfg)
 		}
 	}
-	if err := v.MeasureConfigs(ctx, sweepCfgs, refName, src); err != nil {
+	perfs, err := v.MeasureConfigs(ctx, sweepCfgs, refName, src)
+	if err != nil {
 		return nil, err
 	}
 
@@ -155,12 +156,8 @@ func CoarsePrune(ctx context.Context, v *Validator, g *Grader, target string, ba
 		var sweep []SweepPoint
 		maxAbs := 0.0
 		for _, idx := range sweepIndices(p, base[i]) {
-			cfg := base.Clone()
-			cfg[i] = idx
-			perf, err := v.MeasureTrace(ctx, cfg, refName, src) // cache hit
-			if err != nil {
-				return nil, err
-			}
+			perf := perfs[0]
+			perfs = perfs[1:]
 			score := g.Performance(perf, refPerf)
 			mult := p.Values[idx] / nonZero(baseVal)
 			if p.Kind == ssdconf.Categorical {
@@ -335,7 +332,8 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	if len(samples) < 8 {
 		return nil, fmt.Errorf("core: only %d valid samples for ridge fit", len(samples))
 	}
-	if err := v.MeasureConfigs(ctx, samples, refName, src); err != nil {
+	perfs, err := v.MeasureConfigs(ctx, samples, refName, src)
+	if err != nil {
 		return nil, err
 	}
 
@@ -345,11 +343,7 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	}
 	var rows [][]float64
 	var ys []float64
-	for _, cfg := range samples {
-		perf, err := v.MeasureTrace(ctx, cfg, refName, src) // cache hit
-		if err != nil {
-			return nil, err
-		}
+	for i, cfg := range samples {
 		row := make([]float64, width)
 		for j, c := range cols {
 			row[j] = v.Space.Value(cfg, c)
@@ -360,7 +354,7 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 			off += len(v.Space.Params[c].Values)
 		}
 		rows = append(rows, row)
-		ys = append(ys, g.Performance(perf, refPerf))
+		ys = append(ys, g.Performance(perfs[i], refPerf))
 	}
 
 	x := linalg.FromRows(rows)

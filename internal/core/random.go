@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"autoblox/internal/autodb"
 	"autoblox/internal/ssdconf"
 )
 
@@ -71,17 +70,11 @@ func RandomSearch(ctx context.Context, space *ssdconf.Space, v *Validator, g *Gr
 	best := bestEntry(validated)
 	res.Best = best.cfg
 	res.BestGrade = best.grade
-	res.BestPerf = map[string][]autodb.Perf{}
-	if err := v.MeasureBatch(ctx, []ssdconf.Config{best.cfg}, v.Clusters()); err != nil {
+	out, err := v.MeasureBatch(ctx, []ssdconf.Config{best.cfg}, v.Clusters())
+	if err != nil {
 		return nil, err
 	}
-	for _, cl := range v.Clusters() {
-		ps, err := v.MeasureCluster(ctx, best.cfg, cl)
-		if err != nil {
-			return nil, err
-		}
-		res.BestPerf[cl] = ps
-	}
+	res.BestPerf = out[0]
 	if !space.Objectives.Scalar() {
 		res.Front, res.Hypervolume = buildFront(space.Objectives, validated)
 	}

@@ -313,7 +313,7 @@ func TestFaultedRunReproducibleAcrossParallel(t *testing.T) {
 		v.Parallel = parallel
 		ref := space.FromDevice(ssd.Intel750())
 		cfgs := distinctConfigs(t, space, ref, 3)
-		if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
+		if _, err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 			t.Fatal(err)
 		}
 		return v.SnapshotCache()
@@ -425,7 +425,7 @@ func TestBatchCancelContract(t *testing.T) {
 			for i := range jobs {
 				jobs[i] = Job{Cfg: ref, Name: traceName("Database", i), Src: factory}
 			}
-			if err := v.measureJobs(context.Background(), jobs); !errors.Is(err, injected) {
+			if _, err := v.measureJobs(context.Background(), jobs); !errors.Is(err, injected) {
 				t.Fatalf("err = %v, want the injected failure", err)
 			}
 			if got := v.Stats().SimRuns; got != 0 {
@@ -441,7 +441,7 @@ func TestBatchCancelContract(t *testing.T) {
 			calls.Store(0)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if err := v.measureJobs(ctx, jobs); !errors.Is(err, context.Canceled) {
+			if _, err := v.measureJobs(ctx, jobs); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-cancelled batch: err = %v, want context.Canceled", err)
 			}
 			if got := calls.Load(); got != 0 {

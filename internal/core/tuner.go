@@ -292,20 +292,17 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 		if err := func() error {
 			sp := obs.StartSpan("frontier").ArgInt("configs", int64(len(initCfgs)))
 			defer sp.End()
-			if err := t.Validator.MeasureBatch(ctx, initCfgs, []string{target}); err != nil {
+			out, err := t.Validator.MeasureBatch(ctx, initCfgs, []string{target})
+			if err != nil {
 				return err
 			}
 			var live []ssdconf.Config
-			for _, cfg := range initCfgs {
-				perfs, err := t.Validator.MeasureCluster(ctx, cfg, target) // cache hit
-				if err != nil {
-					return err
-				}
-				if !t.overPowerBudget(perfs) {
+			for i, cfg := range initCfgs {
+				if !t.overPowerBudget(out[i][target]) {
 					live = append(live, cfg)
 				}
 			}
-			if err := t.Validator.MeasureBatch(ctx, live, t.Validator.NonTargetClusters(target)); err != nil {
+			if _, err := t.Validator.MeasureBatch(ctx, live, t.Validator.NonTargetClusters(target)); err != nil {
 				return err
 			}
 			for _, cfg := range initCfgs {
@@ -443,21 +440,13 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 	best := bestEntry(validated)
 	res.Best = best.cfg
 	res.BestGrade = best.grade
-	res.BestPerf = map[string][]autodb.Perf{}
 	msp := obs.StartSpan("final-measure").Arg("config", best.cfg.Key())
-	if err := t.Validator.MeasureBatch(ctx, []ssdconf.Config{best.cfg}, t.Validator.Clusters()); err != nil {
-		msp.End()
+	out, err := t.Validator.MeasureBatch(ctx, []ssdconf.Config{best.cfg}, t.Validator.Clusters())
+	msp.End()
+	if err != nil {
 		return nil, err
 	}
-	for _, cl := range t.Validator.Clusters() {
-		ps, err := t.Validator.MeasureCluster(ctx, best.cfg, cl)
-		if err != nil {
-			msp.End()
-			return nil, err
-		}
-		res.BestPerf[cl] = ps
-	}
-	msp.End()
+	res.BestPerf = out[0]
 	if t.pareto() {
 		res.Front, res.Hypervolume = buildFront(t.Space.Objectives, validated)
 	}
@@ -582,10 +571,11 @@ func (t *Tuner) restoreCheckpoint(ck *checkpointFile, target string, res *TuneRe
 func (t *Tuner) evaluate(ctx context.Context, target string, cfg ssdconf.Config, worst float64, res *TuneResult) (entry, bool, error) {
 	e := entry{cfg: cfg, vec: t.Space.Vector(cfg)}
 
-	perfs, err := t.Validator.MeasureCluster(ctx, cfg, target)
+	out, err := t.Validator.MeasureBatch(ctx, []ssdconf.Config{cfg}, []string{target})
 	if err != nil {
 		return e, false, err
 	}
+	perfs := out[0][target]
 	// Power budget check (§3.4): drop configurations whose modeled
 	// power exceeds the budget.
 	if t.overPowerBudget(perfs) {
@@ -613,16 +603,15 @@ func (t *Tuner) evaluate(ctx context.Context, target string, cfg ssdconf.Config,
 	// Non-target validation: the candidate's whole remaining frontier
 	// (every non-target cluster × trace) fans out as one batch.
 	nonTargets := t.Validator.NonTargetClusters(target)
-	if err := t.Validator.MeasureBatch(ctx, []ssdconf.Config{cfg}, nonTargets); err != nil {
+	out, err = t.Validator.MeasureBatch(ctx, []ssdconf.Config{cfg}, nonTargets)
+	if err != nil {
 		return e, false, err
 	}
+	// Insert in sorted cluster order: Grade sums over the map, and a
+	// small map's iteration order depends on its insertion order.
 	nonTarget := map[string]float64{}
 	for _, cl := range nonTargets {
-		ps, err := t.Validator.MeasureCluster(ctx, cfg, cl) // cache hit
-		if err != nil {
-			return e, false, err
-		}
-		nonTarget[cl] = t.Grader.ClusterPerformance(cl, ps)
+		nonTarget[cl] = t.Grader.ClusterPerformance(cl, out[0][cl])
 	}
 	e.grade = t.Grader.Grade(e.targetPerf, nonTarget, len(t.Validator.Workloads))
 	e.full = true

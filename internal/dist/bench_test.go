@@ -54,7 +54,7 @@ func BenchmarkDistributedScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 				v.Backend = fleet.Backend()
-				if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
+				if _, err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 					b.Fatal(err)
 				}
 				fleet.Close()

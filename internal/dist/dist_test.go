@@ -116,7 +116,10 @@ func (f *fakeWorker) leaseAtLeast(n int) []Lease {
 // measureAsync drives a validator batch in the background.
 func measureAsync(ctx context.Context, v *core.Validator, cfgs []ssdconf.Config) chan error {
 	done := make(chan error, 1)
-	go func() { done <- v.MeasureBatch(ctx, cfgs, v.Clusters()) }()
+	go func() {
+		_, err := v.MeasureBatch(ctx, cfgs, v.Clusters())
+		done <- err
+	}()
 	return done
 }
 
@@ -465,7 +468,7 @@ func TestFleetConcurrentBackend(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
+			if _, err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 				errs <- err
 			}
 		}()
@@ -519,7 +522,7 @@ func TestFleetTCPTransport(t *testing.T) {
 	}
 	v.Backend = fleet.Backend()
 	cfgs := distinctConfigs(t, v.Space, 2)
-	if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
+	if _, err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.Stats().RemoteResults; got != int64(len(cfgs)) {

@@ -93,7 +93,7 @@ func TestStatsPushAggregation(t *testing.T) {
 	})
 
 	cfgs := distinctConfigs(t, v.Space, 2)
-	if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
+	if _, err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -160,7 +160,7 @@ func TestTraceCorrelation(t *testing.T) {
 	wdone := startLoopbackWorker(ctx, coord, &Worker{Name: "traced", Parallel: 2})
 
 	cfgs := distinctConfigs(t, v.Space, 2)
-	if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
+	if _, err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 		t.Fatal(err)
 	}
 	coord.Close()

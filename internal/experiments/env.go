@@ -134,11 +134,7 @@ func newEnv(scale Scale, cons ssdconf.Constraints, ref ssd.DeviceParams, cats []
 	if err := space.CheckConstraints(e.RefCfg); err != nil {
 		return nil, fmt.Errorf("experiments: reference violates constraints: %w", err)
 	}
-	e.Validator = core.NewValidatorSources(space, e.sourceGroups())
-	e.Validator.Parallel = scale.Parallel
-	e.Validator.Obs = scale.Obs
-	e.Validator.SimTimeout = scale.SimTimeout
-	e.Validator.MaxRetries = scale.SimRetries
+	e.Validator = e.newValidator()
 	e.Validator.Persist = scale.Persist
 	if scale.Backend != nil && scale.BackendEnv != nil {
 		clusters := make([]string, len(cats))
@@ -155,6 +151,21 @@ func newEnv(scale Scale, cons ssdconf.Constraints, ref ssd.DeviceParams, cats []
 	}
 	e.Grader = g
 	return e, nil
+}
+
+// newValidator builds a validator over the env's sources with the run's
+// parallelism, metrics registry, per-simulation timeout and retries.
+// It sets neither Persist nor Backend: experiments that need a fresh
+// validator (so earlier runs cannot make theirs look cheap) would
+// otherwise be handed those results by the persistent cache or by a
+// worker's memo cache.
+func (e *Env) newValidator() *core.Validator {
+	v := core.NewValidatorSources(e.Space, e.sourceGroups())
+	v.Parallel = e.Scale.Parallel
+	v.Obs = e.Scale.Obs
+	v.SimTimeout = e.Scale.SimTimeout
+	v.MaxRetries = e.Scale.SimRetries
+	return v
 }
 
 // sourceGroups adapts the per-category factories to the validator's

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"autoblox/internal/core"
+	"autoblox/internal/obs"
+	"autoblox/internal/ssdconf"
 	"autoblox/internal/workload"
 )
 
@@ -153,6 +156,28 @@ func TestTable6(t *testing.T) {
 	o.Print(&buf)
 	if !strings.Contains(buf.String(), "Efficiency validation") {
 		t.Fatal("Print output incomplete")
+	}
+}
+
+// TestTable6FreshValidatorKeepsSettings: Table 6's dedicated validator
+// carries the run's settings, so its simulations reach the run's
+// metrics registry.
+func TestTable6FreshValidatorKeepsSettings(t *testing.T) {
+	scale := tinyScale()
+	scale.Obs = obs.NewRegistry()
+	// NewEnv, not the memoized StudiedEnv: the memo keys on the scale's
+	// sizes only and may hand back an env built without this registry.
+	e, err := NewEnv(scale, ssdconf.DefaultConstraints(), intelRef(), workload.Studied())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := scale.Obs.Counter(core.MetricSimRuns)
+	before := sims.Value()
+	if _, err := RunTable6(e); err != nil {
+		t.Fatal(err)
+	}
+	if after := sims.Value(); after <= before {
+		t.Fatalf("%s stayed at %d while Table 6 ran a fresh tune", core.MetricSimRuns, after)
 	}
 }
 

@@ -85,23 +85,19 @@ func RunTable6(e *Env) (*OverheadResult, error) {
 	target := string(e.Cats[0])
 	opts := e.tunerOptions()
 	opts.MaxIterations = 4
-	tuner, err := core.NewTuner(e.Space, e.Validator, e.Grader, opts)
-	if err != nil {
-		return nil, err
-	}
 	// A dedicated validator so cached results don't hide validation cost.
 	// One slot: Stats().Backend.SimBusy sums simulator time over
 	// concurrent runs (NOT elapsed wall-clock — under parallelism the
 	// sum exceeds elapsed time and the learning-time subtraction below
 	// would go negative). Pinning Parallel=1 runs one simulation at a
 	// time, so "total - SimBusy" is a valid learning cost.
-	fresh := core.NewValidatorSources(e.Space, e.sourceGroups())
+	fresh := e.newValidator()
 	fresh.Parallel = 1
 	grader, err := core.NewGrader(e.ctx(), fresh, e.RefCfg, core.DefaultAlpha, core.DefaultBeta)
 	if err != nil {
 		return nil, err
 	}
-	tuner, err = core.NewTuner(e.Space, fresh, grader, opts)
+	tuner, err := core.NewTuner(e.Space, fresh, grader, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -102,23 +102,6 @@ func (t *Trace) Slice(lo, hi int) *Trace {
 	return &Trace{Name: t.Name, Requests: t.Requests[lo:hi]}
 }
 
-// Compress returns a copy of the trace with all arrival times divided by
-// factor. Compressing arrivals turns a timestamped replay into a
-// device-capability stress test: once the offered rate far exceeds the
-// device, measured throughput reflects what the hardware can sustain
-// rather than what the host offered (used by what-if throughput goals).
-func (t *Trace) Compress(factor float64) *Trace {
-	if factor <= 0 {
-		factor = 1
-	}
-	out := &Trace{Name: t.Name, Requests: make([]Request, len(t.Requests))}
-	for i, r := range t.Requests {
-		r.Arrival = time.Duration(float64(r.Arrival) / factor)
-		out.Requests[i] = r
-	}
-	return out
-}
-
 // Split partitions the trace into a training prefix holding frac of the
 // requests and a validation suffix with the remainder — the 70/30 split
 // the paper uses for clustering validation.
@@ -131,27 +114,6 @@ func (t *Trace) Split(frac float64) (train, valid *Trace) {
 		cut = len(t.Requests)
 	}
 	return t.Slice(0, cut), t.Slice(cut, len(t.Requests))
-}
-
-// Normalize rewrites absolute block addresses into relative offsets in a
-// uniform address space, as §3.1 requires: the absolute value of a block
-// address depends on the allocator, so only offsets from the smallest
-// address seen carry workload signal. I/O size and type are unmodified.
-// The receiver is modified in place and returned for chaining.
-func (t *Trace) Normalize() *Trace {
-	if len(t.Requests) == 0 {
-		return t
-	}
-	min := t.Requests[0].LBA
-	for _, r := range t.Requests {
-		if r.LBA < min {
-			min = r.LBA
-		}
-	}
-	for i := range t.Requests {
-		t.Requests[i].LBA -= min
-	}
-	return t
 }
 
 // ParseBlktrace reads a simplified blktrace-style text format, one

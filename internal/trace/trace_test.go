@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,17 +56,6 @@ func TestSplit(t *testing.T) {
 	train, valid = tr.Split(2.0)
 	if len(train.Requests) != 10 || len(valid.Requests) != 0 {
 		t.Fatal("overflow split should clamp")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	tr := &Trace{Requests: []Request{
-		{LBA: 5000, Sectors: 8},
-		{LBA: 5100, Sectors: 8},
-	}}
-	tr.Normalize()
-	if tr.Requests[0].LBA != 0 || tr.Requests[1].LBA != 100 {
-		t.Fatalf("Normalize = %+v", tr.Requests)
 	}
 }
 
@@ -257,7 +247,10 @@ func TestFeatureMatrix(t *testing.T) {
 
 func TestCompress(t *testing.T) {
 	tr := mkTrace(100, Read)
-	c := tr.Compress(10)
+	c, err := Materialize(CompressStream(tr.Source(), 10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(c.Requests) != 100 {
 		t.Fatalf("compress changed request count")
 	}
@@ -271,11 +264,16 @@ func TestCompress(t *testing.T) {
 	}
 	// Original untouched.
 	if tr.Requests[99].Arrival != 99*time.Millisecond {
-		t.Fatal("Compress mutated the source trace")
+		t.Fatal("CompressStream mutated the source trace")
 	}
-	// Non-positive factor is identity.
-	id := tr.Compress(0)
-	if id.Requests[99].Arrival != tr.Requests[99].Arrival {
-		t.Fatal("factor 0 should be identity")
+	// A non-positive factor is the identity.
+	for _, factor := range []float64{1, 0, -3} {
+		id, err := Materialize(CompressStream(tr.Source(), factor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(id.Requests, tr.Requests) {
+			t.Fatalf("factor %g should be the identity", factor)
+		}
 	}
 }

@@ -365,18 +365,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Scale returns a copy of the trace options semantics applied at the
-// trace level: a generated trace with arrival gaps divided by intensity
-// (>1 = more intense). Generators encode each category's canonical
-// intensity; Scale lets users explore "what if this workload were 2×
-// hotter" without editing profiles.
-func Scale(tr *trace.Trace, intensity float64) *trace.Trace {
-	return tr.Compress(intensity)
-}
-
-// ScaleSource is Scale as a stream adapter: arrival gaps divided by
-// intensity without materializing the trace.
-func ScaleSource(src trace.Source, intensity float64) trace.Source {
-	return trace.CompressStream(src, intensity)
-}

@@ -159,14 +159,3 @@ func TestGenerateWellFormedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestScaleIntensity(t *testing.T) {
-	tr := MustGenerate(Database, Options{Requests: 1000, Seed: 1})
-	hot := Scale(tr, 2)
-	if hot.Duration() >= tr.Duration() {
-		t.Fatal("2x intensity should halve the duration")
-	}
-	if len(hot.Requests) != len(tr.Requests) {
-		t.Fatal("Scale changed request count")
-	}
-}

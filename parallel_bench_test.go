@@ -171,7 +171,7 @@ func BenchmarkMatrixSweepSerialVsParallel(b *testing.B) {
 					cfgs[k] = cfg
 				}
 				b.StartTimer()
-				if err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
+				if _, err := v.MeasureBatch(context.Background(), cfgs, v.Clusters()); err != nil {
 					b.Fatal(err)
 				}
 				if got, want := v.Stats().SimRuns, int64(len(cfgs)*len(ws)); got != want {
